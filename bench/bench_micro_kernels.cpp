@@ -6,8 +6,8 @@
  * times the lazy-reduction kernel pass against the strict pre-PR
  * reference kernels (Harvey lazy NTT vs strict NTT, fused cache-blocked
  * BConv vs the two-stage pipeline, pooled vs fresh allocation), the
- * SimdBackend's vector kernels against the scalar lazy kernels at the
- * host's best ISA tier, and prints the scalar-vs-parallel backend
+ * simd engine's vector kernels against the scalar lazy kernels at the
+ * host's best ISA tier (both serial), and prints the scalar-vs-parallel backend
  * table. `--json PATH` emits the same numbers machine-readably
  * (consumed by scripts/check_bench_regression.py and archived as a CI
  * artifact) together with the dispatched SIMD tier and detected CPU
@@ -83,7 +83,7 @@ struct Result
 
 std::vector<Result> g_results;
 bool g_parity_ok = true;
-/// Tier the SimdBackend actually dispatched ("scalar" on plain hosts);
+/// Tier the simd engine actually dispatched ("scalar" on plain hosts);
 /// recorded in the JSON so baselines from different ISAs never mix.
 std::string g_simd_tier = "scalar";
 
@@ -174,14 +174,14 @@ runNttComparison(bool smoke)
 }
 
 // ---------------------------------------------------------------------------
-// SimdBackend vector kernels vs the scalar lazy kernels
+// Vector kernel table vs the scalar lazy kernels (serial executor)
 // ---------------------------------------------------------------------------
 
 void
 runSimdComparison(bool smoke)
 {
-    SimdBackend simd;
-    ScalarBackend scalar;
+    KernelBackend simd(BackendKind::Simd);
+    KernelBackend scalar;
     g_simd_tier = simdTierName(simd.tier());
     std::printf("Vector (simd backend, tier %s) vs scalar lazy "
                 "kernels, <2^60 limbs\n",

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/table_printer.h"
-#include "rns/backend.h"
 #include "rns/cpu_features.h"
 #include "sim/simulator.h"
 #include "workloads/programs.h"
@@ -176,9 +175,9 @@ writeBenchJson(const std::string &path, const char *bench, bool smoke,
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench);
     std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
     std::fprintf(f, "  \"machine_class\": \"%s\",\n",
-                 simdTierName(SimdBackend().tier()));
+                 simdTierName(dispatchedSimdTier()));
     std::fprintf(f, "  \"simd_tier\": \"%s\",\n",
-                 simdTierName(SimdBackend().tier()));
+                 simdTierName(dispatchedSimdTier()));
     std::fprintf(f, "  \"cpu_features\": \"%s\",\n",
                  cpuFeatureString().c_str());
     std::fprintf(f, "  \"parity_ok\": %s,\n",

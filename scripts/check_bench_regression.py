@@ -18,7 +18,7 @@ max(--tolerance, --rsd-mult * rsd): noisy rows automatically get the
 headroom their own measured variance says they need.
 
 SIMD rows are ISA-gated: the JSON records which vector tier the
-SimdBackend dispatched (and the host's CPU feature list), and simd_*
+simd engine dispatched (and the host's CPU feature list), and simd_*
 entries are only compared when the current run and the baseline used
 the same tier — an avx512 baseline says nothing about an avx2 or
 scalar-fallback runner, so those rows are skipped with a note instead

@@ -175,13 +175,6 @@ CkksEvaluator::decompose(const RnsPoly &d, int level) const
         const size_t lo = static_cast<size_t>(dig) * a;
         const size_t hi = std::min(lo + a, nq);
 
-        // Pull the digit limbs, then run the whole BConvRoutine
-        // (Alg. 1: INTT -> BConv -> NTT) as one fused backend call.
-        // Pooled temporaries: every limb is copied over in full.
-        RnsPoly digit = pool.acquire(n, hi - lo, Rep::Eval);
-        for (size_t l = lo; l < hi; ++l)
-            std::copy(d.limb(l), d.limb(l) + n, digit.limb(l - lo));
-
         std::vector<const NttTables *> in_tables(hi - lo);
         for (size_t l = lo; l < hi; ++l)
             in_tables[l - lo] = &ctx_.qTables()[l];
@@ -192,25 +185,19 @@ CkksEvaluator::decompose(const RnsPoly &d, int level) const
                 out_tables.push_back(&ctx_.keyTable(l, level));
         }
 
-        RnsPoly conv = kb.nttBconvNtt(
-            digit, in_tables, ctx_.digitConverter(level, dig),
-            out_tables);
-        pool.release(std::move(digit));
-
-        // Assemble the extended poly with limbs ordered
-        // [q_0..q_level, p_0..p_alpha-1].
+        // The extended poly, limbs ordered [q_0..q_level,
+        // p_0..p_alpha-1]: the fused BConvRoutine (Alg. 1: INTT ->
+        // BConv -> NTT) reads the digit's limbs in place from d and
+        // writes every other limb straight into ext; the digit's own
+        // limbs are then copied over. Pooled: every limb is written.
         RnsPoly ext = pool.acquire(n, nq + np, Rep::Eval);
-        size_t conv_idx = 0;
-        for (size_t l = 0; l < nq + np; ++l) {
-            if (l >= lo && l < hi) {
-                std::copy(d.limb(l), d.limb(l) + n, ext.limb(l));
-            } else {
-                std::copy(conv.limb(conv_idx),
-                          conv.limb(conv_idx) + n, ext.limb(l));
-                ++conv_idx;
-            }
-        }
-        pool.release(std::move(conv));
+        std::vector<u64 *> conv_rows = ext.mutableRows(0, lo);
+        const std::vector<u64 *> tail = ext.mutableRows(hi, nq + np);
+        conv_rows.insert(conv_rows.end(), tail.begin(), tail.end());
+        kb.nttBconvNtt(d.rows(lo, hi), in_tables,
+                       ctx_.digitConverter(level, dig), out_tables,
+                       conv_rows);
+        kb.copyLimbs(d, lo, ext, lo, hi - lo);
         out.push_back(std::move(ext));
     }
     return out;
@@ -228,21 +215,16 @@ CkksEvaluator::modDownByP(const RnsPoly &extended, int level) const
     PolyPool &pool = kb.pool();
 
     // INTT the special limbs, BConv B -> C, NTT back (Alg. 2 line 6-7)
-    // — the same fused digit path key switching uses. Pooled
-    // temporaries: special is copied over in full, out is written in
-    // full by subMulScalar.
-    RnsPoly special = pool.acquire(n, np, Rep::Eval);
-    for (size_t l = 0; l < np; ++l)
-        std::copy(extended.limb(nq + l), extended.limb(nq + l) + n,
-                  special.limb(l));
-
+    // — the same fused digit path key switching uses, reading the P
+    // limbs in place from the tail of extended. Pooled temporaries:
+    // conv and out are written in full.
     std::vector<const NttTables *> in_tables(np);
     for (size_t l = 0; l < np; ++l)
         in_tables[l] = &ctx_.pTables()[l];
-    RnsPoly conv = kb.nttBconvNtt(special, in_tables,
-                                  ctx_.modDownConverter(level),
-                                  ctx_.qTablePtrs(nq));
-    pool.release(std::move(special));
+    RnsPoly conv = pool.acquire(n, nq, Rep::Eval);
+    kb.nttBconvNtt(extended.rows(nq, nq + np), in_tables,
+                   ctx_.modDownConverter(level), ctx_.qTablePtrs(nq),
+                   conv.mutableRows(0, nq));
 
     // out = (extended - conv) * P^{-1} limb-wise over the q limbs.
     const auto moduli = ctx_.levelModuli(level);
@@ -270,9 +252,9 @@ CkksEvaluator::keySwitchDigits(const std::vector<RnsPoly> &digits,
     PolyPool &pool = kb.pool();
 
     // Pooled accumulators: evkMulAcc reads-modifies-writes, so these
-    // must start cleared (acquireZeroed, not acquire).
-    RnsPoly acc_b = pool.acquireZeroed(n, nq + np, Rep::Eval);
-    RnsPoly acc_a = pool.acquireZeroed(n, nq + np, Rep::Eval);
+    // must start cleared (cleared through the executor).
+    RnsPoly acc_b = kb.acquireZeroed(n, nq + np, Rep::Eval);
+    RnsPoly acc_a = kb.acquireZeroed(n, nq + np, Rep::Eval);
     const auto key_moduli = ctx_.keyModuli(level);
     for (size_t dig = 0; dig < digits.size(); ++dig) {
         kb.evkMulAcc(digits[dig], evk.b[dig], evk.a[dig], nq, full_nq,

@@ -44,8 +44,9 @@ struct CkksParams
      * instruction set it dispatches to.
      */
     BackendKind backend = BackendKind::Scalar;
-    /** Thread-pool size for the parallel backend (0 = hardware
-     *  concurrency; overridable with ARK_THREADS). */
+    /** Total threads of the parallel and simd engines, the calling
+     *  thread included (0 = hardware concurrency, 1 = serial;
+     *  overridable with ARK_THREADS). */
     size_t backend_threads = 0;
 
     /** alpha = (L + 1) / dnum special primes. */

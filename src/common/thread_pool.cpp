@@ -15,11 +15,13 @@ ThreadPool::ThreadPool(size_t num_threads)
 {
     if (num_threads == 0)
         num_threads = defaultThreads();
-    slots_.reserve(num_threads);
-    for (size_t i = 0; i < num_threads; ++i)
+    // The caller of parallelFor is the last of the num_threads.
+    const size_t workers = num_threads - 1;
+    slots_.reserve(workers);
+    for (size_t i = 0; i < workers; ++i)
         slots_.push_back(std::make_unique<Worker>());
-    workers_.reserve(num_threads);
-    for (size_t i = 0; i < num_threads; ++i)
+    workers_.reserve(workers);
+    for (size_t i = 0; i < workers; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
 }
 
@@ -32,23 +34,6 @@ ThreadPool::~ThreadPool()
     sleep_cv_.notify_all();
     for (auto &w : workers_)
         w.join();
-}
-
-void
-ThreadPool::submit(const Task &t, size_t hint)
-{
-    Worker &w = *slots_[hint % slots_.size()];
-    {
-        std::lock_guard<std::mutex> lk(w.m);
-        w.queue.push_back(t);
-    }
-    // Increment under sleep_m_ so it cannot interleave between a
-    // worker's predicate check and its wait (lost-wakeup race).
-    {
-        std::lock_guard<std::mutex> lk(sleep_m_);
-        pending_.fetch_add(1, std::memory_order_release);
-    }
-    sleep_cv_.notify_one();
 }
 
 bool
@@ -130,12 +115,42 @@ ThreadPool::parallelFor(size_t count, const std::function<void(size_t)> &fn)
         fn(0);
         return;
     }
+    if (workers_.empty()) {
+        // Caller-only pool: same contract (every index runs, the first
+        // exception is rethrown afterwards) without the queues.
+        std::exception_ptr err;
+        for (size_t i = 0; i < count; ++i) {
+            try {
+                fn(i);
+            } catch (...) {
+                if (!err)
+                    err = std::current_exception();
+            }
+        }
+        if (err)
+            std::rethrow_exception(err);
+        return;
+    }
 
     Batch batch;
     batch.fn = &fn;
     batch.count = count;
-    for (size_t i = 0; i < count; ++i)
-        submit(Task{&batch, i}, i);
+    // Deal task i to worker i % k, one lock per deque, then publish
+    // the whole batch with a single wake-up instead of one per task.
+    const size_t k = slots_.size();
+    for (size_t w = 0; w < k; ++w) {
+        Worker &wk = *slots_[w];
+        std::lock_guard<std::mutex> lk(wk.m);
+        for (size_t i = w; i < count; i += k)
+            wk.queue.push_back(Task{&batch, i});
+    }
+    // Increment under sleep_m_ so it cannot interleave between a
+    // worker's predicate check and its wait (lost-wakeup race).
+    {
+        std::lock_guard<std::mutex> lk(sleep_m_);
+        pending_.fetch_add(count, std::memory_order_release);
+    }
+    sleep_cv_.notify_all();
 
     // The caller helps drain the queues; `slots_.size()` marks it as
     // an external thief with no queue of its own. Once nothing is

@@ -1,15 +1,18 @@
 /**
  * @file
- * Small work-stealing thread pool backing the ParallelBackend.
+ * Small work-stealing thread pool: the `pool` executor of the kernel
+ * engine (rns/backend.h).
  *
- * Kernels submit a batch of independent limb jobs with parallelFor();
- * each worker owns a deque and pops its own work LIFO, stealing FIFO
- * from siblings when drained (the classic Cilk discipline, which keeps
- * a worker's cache warm on its own limbs while letting idle workers
+ * Kernels submit a batch of independent jobs with parallelFor(); each
+ * worker owns a deque and pops its own work LIFO, stealing FIFO from
+ * siblings when drained (the classic Cilk discipline, which keeps a
+ * worker's cache warm on its own limbs while letting idle workers
  * balance skewed batches). The submitting thread participates in the
- * batch instead of blocking, so a pool of k workers applies k + 1
- * threads to every batch and a single-worker pool still makes
- * progress when the caller is the only runnable thread.
+ * batch instead of blocking, so it counts as one of the pool's
+ * threads: ThreadPool(n) spawns n - 1 workers and applies n threads to
+ * every batch, which keeps a thread count equal to the core count from
+ * oversubscribing the host. ThreadPool(1) spawns no worker at all and
+ * runs every batch on the caller.
  */
 
 #pragma once
@@ -36,15 +39,17 @@ namespace ark {
 class ThreadPool
 {
   public:
-    /** @param num_threads worker threads; 0 = hardware concurrency. */
+    /** @param num_threads total threads, the caller included (so
+     *  num_threads - 1 workers are spawned); 0 = hardware
+     *  concurrency. */
     explicit ThreadPool(size_t num_threads = 0);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Worker threads owned by the pool (the caller adds one more). */
-    size_t threads() const { return workers_.size(); }
+    /** Threads applied to a batch: the workers plus the caller. */
+    size_t threads() const { return workers_.size() + 1; }
 
     /**
      * Run fn(i) for every i in [0, count) across the pool and the
@@ -55,7 +60,7 @@ class ThreadPool
      */
     void parallelFor(size_t count, const std::function<void(size_t)> &fn);
 
-    /** Default worker count: hardware concurrency (at least 1). */
+    /** Default thread count: hardware concurrency (at least 1). */
     static size_t defaultThreads();
 
   private:
@@ -89,7 +94,6 @@ class ThreadPool
     void workerLoop(size_t self);
     /** Pop own-back / steal-front one task and run it. */
     bool tryRunOne(size_t self);
-    void submit(const Task &t, size_t hint);
 
     std::vector<std::unique_ptr<Worker>> slots_;
     std::vector<std::thread> workers_;

@@ -64,8 +64,8 @@ nttMults(size_t n)
 
 // ---------------------------------------------------------------------------
 // Element-wise limb kernels. Loop bodies are the reference scalar code;
-// the executor (run) decides how limb jobs map onto threads, which is
-// the only difference between backends — hence bit-exact parity.
+// the executor (run) only decides which thread runs each limb job —
+// hence bit-exact parity across executors.
 // ---------------------------------------------------------------------------
 
 void
@@ -75,7 +75,7 @@ KernelBackend::add(const RnsPoly &a, const RnsPoly &b,
     checkBinary(a, b, moduli, r);
     const size_t n = a.degree();
     recordStats(KernelOp::Add, a.numLimbs(), 3 * a.numLimbs() * n, 0);
-    run(a.numLimbs(), [&](size_t l) {
+    run(a.numLimbs(), n, [&](size_t l) {
         const u64 q = moduli[l].value();
         const u64 *pa = a.limb(l), *pb = b.limb(l);
         u64 *pr = r.limb(l);
@@ -92,7 +92,7 @@ KernelBackend::sub(const RnsPoly &a, const RnsPoly &b,
     checkBinary(a, b, moduli, r);
     const size_t n = a.degree();
     recordStats(KernelOp::Sub, a.numLimbs(), 3 * a.numLimbs() * n, 0);
-    run(a.numLimbs(), [&](size_t l) {
+    run(a.numLimbs(), n, [&](size_t l) {
         const u64 q = moduli[l].value();
         const u64 *pa = a.limb(l), *pb = b.limb(l);
         u64 *pr = r.limb(l);
@@ -109,7 +109,7 @@ KernelBackend::neg(const RnsPoly &a, const std::vector<Modulus> &moduli,
     ARK_ASSERT(a.sameShape(r), "operand shape mismatch");
     const size_t n = a.degree();
     recordStats(KernelOp::Neg, a.numLimbs(), 2 * a.numLimbs() * n, 0);
-    run(a.numLimbs(), [&](size_t l) {
+    run(a.numLimbs(), n, [&](size_t l) {
         const u64 q = moduli[l].value();
         const u64 *pa = a.limb(l);
         u64 *pr = r.limb(l);
@@ -129,7 +129,7 @@ KernelBackend::mulEval(const RnsPoly &a, const RnsPoly &b,
     const size_t n = a.degree();
     recordStats(KernelOp::MulEval, a.numLimbs(),
                   3 * a.numLimbs() * n, a.numLimbs() * n);
-    run(a.numLimbs(), [&](size_t l) {
+    run(a.numLimbs(), n, [&](size_t l) {
         const Modulus &q = moduli[l];
         const u64 *pa = a.limb(l), *pb = b.limb(l);
         u64 *pr = r.limb(l);
@@ -149,7 +149,7 @@ KernelBackend::mulAccEval(const RnsPoly &a, const RnsPoly &b,
     const size_t n = a.degree();
     recordStats(KernelOp::MulAccEval, a.numLimbs(),
                   4 * a.numLimbs() * n, a.numLimbs() * n);
-    run(a.numLimbs(), [&](size_t l) {
+    run(a.numLimbs(), n, [&](size_t l) {
         const Modulus &q = moduli[l];
         const u64 *pa = a.limb(l), *pb = b.limb(l);
         u64 *pr = r.limb(l);
@@ -168,7 +168,7 @@ KernelBackend::mulScalar(const RnsPoly &a,
     const size_t n = a.degree();
     recordStats(KernelOp::MulScalar, a.numLimbs(),
                   2 * a.numLimbs() * n, a.numLimbs() * n);
-    run(a.numLimbs(), [&](size_t l) {
+    run(a.numLimbs(), n, [&](size_t l) {
         const Modulus &q = moduli[l];
         const u64 s = scalar_per_limb[l];
         const u64 ss = q.shoupPrecompute(s);
@@ -189,7 +189,7 @@ KernelBackend::addScalar(const RnsPoly &a,
     const size_t n = a.degree();
     recordStats(KernelOp::AddScalar, a.numLimbs(),
                   2 * a.numLimbs() * n, 0);
-    run(a.numLimbs(), [&](size_t l) {
+    run(a.numLimbs(), n, [&](size_t l) {
         const u64 q = moduli[l].value();
         const u64 s = scalar_per_limb[l];
         const u64 *pa = a.limb(l);
@@ -216,7 +216,7 @@ KernelBackend::subMulScalar(const RnsPoly &a, const RnsPoly &b,
     const size_t n = r.degree();
     recordStats(KernelOp::SubMulScalar, limbs, 3 * limbs * n,
                   limbs * n);
-    run(limbs, [&](size_t l) {
+    run(limbs, n, [&](size_t l) {
         const Modulus &q = moduli[l];
         const u64 s = scalar_per_limb[l];
         const u64 ss = q.shoupPrecompute(s);
@@ -239,7 +239,7 @@ KernelBackend::monomialMul(const RnsPoly &a, size_t shift,
     ARK_ASSERT(shift < n, "shift must be < N");
     recordStats(KernelOp::MonomialMul, a.numLimbs(),
                   2 * a.numLimbs() * n, 0);
-    run(a.numLimbs(), [&](size_t l) {
+    run(a.numLimbs(), n, [&](size_t l) {
         const u64 q = moduli[l].value();
         const u64 *pa = a.limb(l);
         u64 *pr = r.limb(l);
@@ -265,7 +265,7 @@ KernelBackend::limbEmbed(const std::vector<u64> &src, const Modulus &src_q,
     const u64 half = q0 / 2;
     recordStats(KernelOp::LimbEmbed, out.numLimbs(),
                   2 * out.numLimbs() * n, 0);
-    run(out.numLimbs(), [&](size_t l) {
+    run(out.numLimbs(), n, [&](size_t l) {
         const u64 q = out_moduli[l].value();
         const u64 q0_mod = q0 % q;
         u64 *dst = out.limb(l);
@@ -301,51 +301,74 @@ KernelBackend::evkMulAcc(const RnsPoly &digit, const RnsPoly &evk_b,
     recordStats(KernelOp::EvkMulAcc, limbs, 7 * limbs * n,
                   2 * limbs * n);
     noteEvkWords(2 * limbs * n); // evk operand stream
-    run(limbs, [&](size_t l) {
+    run(limbs, n, [&](size_t l) {
         // evk polys span the full basis; select the matching limb.
         const size_t evk_limb = l < nq ? l : full_nq + (l - nq);
-        evkMulAccLimbKernel(key_moduli[l], digit.limb(l),
-                            evk_b.limb(evk_limb), evk_a.limb(evk_limb),
-                            acc_b.limb(l), acc_a.limb(l), n);
+        const Modulus &m = key_moduli[l];
+        const u64 *d = digit.limb(l);
+        const u64 *kb = evk_b.limb(evk_limb), *ka = evk_a.limb(evk_limb);
+        u64 *ab = acc_b.limb(l), *aa = acc_a.limb(l);
+        if (kernels_.evk_mac_limb != nullptr) {
+            kernels_.evk_mac_limb(m, d, kb, ka, ab, aa, n);
+            return;
+        }
+        for (size_t i = 0; i < n; ++i) {
+            ab[i] = m.add(ab[i], m.mul(d[i], kb[i]));
+            aa[i] = m.add(aa[i], m.mul(d[i], ka[i]));
+        }
     });
 }
 
 // ---------------------------------------------------------------------------
-// Per-job kernel bodies (reference scalar defaults). SimdBackend
-// overrides these; Scalar/Parallel run them as-is.
+// Per-job kernel bodies: the kernel table's vector code when it has an
+// entry for the call, else the reference scalar loop.
 // ---------------------------------------------------------------------------
+
+namespace {
+
+// The vector NTT kernels run an approximate-Shoup butterfly whose lazy
+// values reach 8q, so they need 8q < 2^63 (and the AVX2 variant's
+// unbiased signed compares need the same headroom). All shipped
+// parameter sets use <= 60-bit primes; a wider modulus falls back to
+// the scalar tables, which stay exact for any q < 2^62.
+inline bool
+vectorNtt(const SimdKernels &k, const NttTables &table)
+{
+    return table.degree() >= k.min_ntt_degree &&
+           table.modulus().value() < (1ULL << 60);
+}
+
+} // namespace
 
 void
 KernelBackend::nttForwardLimbKernel(u64 *limb,
                                     const NttTables &table) const
 {
-    table.forward(limb);
+    if (kernels_.ntt_forward != nullptr && vectorNtt(kernels_, table))
+        kernels_.ntt_forward(limb, table);
+    else
+        table.forward(limb);
 }
 
 void
 KernelBackend::nttInverseLimbKernel(u64 *limb,
                                     const NttTables &table) const
 {
-    table.inverse(limb);
+    if (kernels_.ntt_inverse != nullptr && vectorNtt(kernels_, table))
+        kernels_.ntt_inverse(limb, table);
+    else
+        table.inverse(limb);
 }
 
 void
-KernelBackend::bconvTileKernel(const BaseConverter &bc, const RnsPoly &in,
-                               size_t c0, size_t c1, u64 *scratch,
-                               RnsPoly &out) const
+KernelBackend::bconvTileKernel(const BaseConverter &bc,
+                               const u64 *const *in, size_t c0, size_t c1,
+                               u64 *scratch, u64 *const *out) const
 {
-    bc.convertTile(in, c0, c1, scratch, out);
-}
-
-void
-KernelBackend::evkMulAccLimbKernel(const Modulus &m, const u64 *d,
-                                   const u64 *kb, const u64 *ka, u64 *ab,
-                                   u64 *aa, size_t n) const
-{
-    for (size_t i = 0; i < n; ++i) {
-        ab[i] = m.add(ab[i], m.mul(d[i], kb[i]));
-        aa[i] = m.add(aa[i], m.mul(d[i], ka[i]));
-    }
+    if (kernels_.bconv_tile != nullptr)
+        kernels_.bconv_tile(bc, in, c0, c1, scratch, out);
+    else
+        bc.convertTile(in, c0, c1, scratch, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -362,7 +385,7 @@ KernelBackend::nttForward(RnsPoly &p,
     obs::ScopedSpan span("ntt_fwd");
     recordStats(KernelOp::NttForward, p.numLimbs(),
                   2 * p.numLimbs() * n, p.numLimbs() * nttMults(n));
-    run(p.numLimbs(), [&](size_t l) {
+    run(p.numLimbs(), n, [&](size_t l) {
         nttForwardLimbKernel(p.limb(l), *tables[l]);
     });
     p.setRep(Rep::Eval);
@@ -379,7 +402,7 @@ KernelBackend::nttInverse(RnsPoly &p,
     recordStats(KernelOp::NttInverse, p.numLimbs(),
                   2 * p.numLimbs() * n,
                   p.numLimbs() * (nttMults(n) + n));
-    run(p.numLimbs(), [&](size_t l) {
+    run(p.numLimbs(), n, [&](size_t l) {
         nttInverseLimbKernel(p.limb(l), *tables[l]);
     });
     p.setRep(Rep::Coeff);
@@ -441,13 +464,15 @@ KernelBackend::bconv(const BaseConverter &bc, const RnsPoly &in)
     // output column blocks are disjoint, and the per-coefficient math
     // matches the two-stage reference bit for bit.
     RnsPoly out = pool_.acquire(n, nc, Rep::Coeff);
+    const auto in_rows = in.rows(0, nb);
+    const auto out_rows = out.mutableRows(0, nc);
     const size_t tile = bc.tileCoeffs();
     const size_t num_tiles = (n + tile - 1) / tile;
-    run(num_tiles, [&](size_t t) {
+    run(num_tiles, tile * (nb + nc), [&](size_t t) {
         alignas(64) u64 scratch[BaseConverter::kTileWords];
         const size_t c0 = t * tile;
-        bconvTileKernel(bc, in, c0, std::min(c0 + tile, n), scratch,
-                        out);
+        bconvTileKernel(bc, in_rows.data(), c0, std::min(c0 + tile, n),
+                        scratch, out_rows.data());
     });
     return out;
 }
@@ -463,7 +488,7 @@ KernelBackend::automorphism(const Automorphism &am, const RnsPoly &p,
     // Pooled: apply{Coeff,Eval} write every output position (the index
     // map is a permutation), so stale buffer words never survive.
     RnsPoly out = pool_.acquire(n, p.numLimbs(), p.rep());
-    run(p.numLimbs(), [&](size_t l) {
+    run(p.numLimbs(), n, [&](size_t l) {
         if (p.rep() == Rep::Coeff)
             am.applyCoeff(p.limb(l), out.limb(l), moduli[l]);
         else
@@ -478,14 +503,31 @@ KernelBackend::nttBconvNtt(const RnsPoly &digit,
                            const BaseConverter &bc,
                            const std::vector<const NttTables *> &out_tables)
 {
-    const size_t nb = bc.inBase().size();
-    const size_t nc = bc.outBase().size();
-    const size_t n = digit.degree();
     ARK_ASSERT(digit.rep() == Rep::Eval,
                "fused digit path starts from the evaluation rep");
-    ARK_ASSERT(digit.numLimbs() == nb, "digit limbs must match in-base");
+    ARK_ASSERT(digit.numLimbs() == bc.inBase().size(),
+               "digit limbs must match in-base");
+    const size_t nc = bc.outBase().size();
+    RnsPoly out = pool_.acquire(digit.degree(), nc, Rep::Eval);
+    nttBconvNtt(digit.rows(0, digit.numLimbs()), in_tables, bc,
+                out_tables, out.mutableRows(0, nc));
+    return out;
+}
+
+void
+KernelBackend::nttBconvNtt(const std::vector<const u64 *> &digit_rows,
+                           const std::vector<const NttTables *> &in_tables,
+                           const BaseConverter &bc,
+                           const std::vector<const NttTables *> &out_tables,
+                           const std::vector<u64 *> &out_rows)
+{
+    const size_t nb = bc.inBase().size();
+    const size_t nc = bc.outBase().size();
+    ARK_ASSERT(digit_rows.size() == nb && out_rows.size() == nc,
+               "row counts must match the converter's bases");
     ARK_ASSERT(in_tables.size() >= nb && out_tables.size() >= nc,
                "not enough NTT tables");
+    const size_t n = in_tables[0]->degree();
     // Tally the fused call itself, then credit the component counters
     // so FU-level consumers (simulator) see the right per-FU split.
     obs::ScopedSpan span("ntt_bconv_ntt");
@@ -501,32 +543,54 @@ KernelBackend::nttBconvNtt(const RnsPoly &digit,
     // (the BConv scale now rides inside the tile pass, where the
     // NTTU's BConv-mult unit applies it in hardware, Fig. 5).
     RnsPoly scaled = pool_.acquire(n, nb, Rep::Coeff);
-    run(nb, [&](size_t j) {
+    run(nb, n, [&](size_t j) {
         u64 *dst = scaled.limb(j);
-        std::memcpy(dst, digit.limb(j), n * sizeof(u64));
+        std::memcpy(dst, digit_rows[j], n * sizeof(u64));
         nttInverseLimbKernel(dst, *in_tables[j]);
     });
 
     // Stage 2: fused, cache-blocked scale+MAC over coefficient tiles
-    // (see BaseConverter::convertTile) — no materialized scaled
-    // polynomial beyond the INTT output already in hand.
-    RnsPoly out = pool_.acquire(n, nc, Rep::Coeff);
+    // (see BaseConverter::convertTile), written straight into the
+    // caller's output rows.
+    const auto scaled_rows = scaled.rows(0, nb);
     const size_t tile = bc.tileCoeffs();
     const size_t num_tiles = (n + tile - 1) / tile;
-    run(num_tiles, [&](size_t t) {
+    run(num_tiles, tile * (nb + nc), [&](size_t t) {
         alignas(64) u64 scratch[BaseConverter::kTileWords];
         const size_t c0 = t * tile;
-        bconvTileKernel(bc, scaled, c0, std::min(c0 + tile, n), scratch,
-                        out);
+        bconvTileKernel(bc, scaled_rows.data(), c0,
+                        std::min(c0 + tile, n), scratch, out_rows.data());
     });
     pool_.release(std::move(scaled));
 
     // Stage 3: forward-NTT each produced limb in place.
-    run(nc, [&](size_t i) {
-        nttForwardLimbKernel(out.limb(i), *out_tables[i]);
+    run(nc, n, [&](size_t i) {
+        nttForwardLimbKernel(out_rows[i], *out_tables[i]);
     });
-    out.setRep(Rep::Eval);
-    return out;
+}
+
+void
+KernelBackend::copyLimbs(const RnsPoly &src, size_t src_lo, RnsPoly &dst,
+                         size_t dst_lo, size_t count)
+{
+    const size_t n = src.degree();
+    ARK_ASSERT(dst.degree() == n && src_lo + count <= src.numLimbs() &&
+                   dst_lo + count <= dst.numLimbs(),
+               "limb range out of bounds");
+    run(count, n, [&](size_t l) {
+        std::memcpy(dst.limb(dst_lo + l), src.limb(src_lo + l),
+                    n * sizeof(u64));
+    });
+}
+
+RnsPoly
+KernelBackend::acquireZeroed(size_t degree, size_t limbs, Rep rep)
+{
+    RnsPoly p = pool_.acquire(degree, limbs, rep);
+    run(limbs, degree, [&](size_t l) {
+        std::memset(p.limb(l), 0, degree * sizeof(u64));
+    });
+    return p;
 }
 
 // ---------------------------------------------------------------------------
@@ -537,11 +601,41 @@ namespace {
 std::atomic<u64> next_backend_id{1};
 } // namespace
 
-KernelBackend::KernelBackend() : instance_id_(next_backend_id.fetch_add(1))
+KernelBackend::KernelBackend(BackendKind kind, size_t threads,
+                             SimdTier max_tier)
+    : instance_id_(next_backend_id.fetch_add(1)), kind_(kind),
+      kernels_(simdKernels(kind == BackendKind::Simd
+                               ? dispatchedSimdTier(max_tier)
+                               : SimdTier::Scalar)),
+      threads_(kind == BackendKind::Scalar ? 1
+               : threads == 0              ? ThreadPool::defaultThreads()
+                                           : threads)
 {
+    if (threads_ > 1)
+        exec_ = std::make_unique<ThreadPool>(threads_);
 }
 
 KernelBackend::~KernelBackend() = default;
+
+void
+KernelBackend::run(size_t jobs, size_t job_words,
+                   const std::function<void(size_t)> &fn) const
+{
+    if (!exec_ || jobs < 2 || jobs * job_words < kGrainWords) {
+        for (size_t i = 0; i < jobs; ++i)
+            fn(i);
+        return;
+    }
+    // At most four contiguous chunks per thread: enough for work
+    // stealing to balance uneven jobs, few enough that hundreds of
+    // small BConv tiles do not pay one queue round trip each.
+    const size_t chunks = std::min(jobs, 4 * threads_);
+    exec_->parallelFor(chunks, [&](size_t c) {
+        const size_t end = (c + 1) * jobs / chunks;
+        for (size_t i = c * jobs / chunks; i < end; ++i)
+            fn(i);
+    });
+}
 
 KernelBackend::StatsShard &
 KernelBackend::shard() const
@@ -646,141 +740,24 @@ KernelBackend::resetStats()
 }
 
 // ---------------------------------------------------------------------------
-// Engines and factory
+// Factory and env parsing
 // ---------------------------------------------------------------------------
-
-void
-ScalarBackend::run(size_t jobs, const std::function<void(size_t)> &fn) const
-{
-    for (size_t i = 0; i < jobs; ++i)
-        fn(i);
-}
-
-SimdBackend::SimdBackend(SimdTier max_tier)
-    : kernels_(simdKernels(
-          std::min(simdTierFromEnv(max_tier), detectSimdTier())))
-{
-}
-
-SimdTier
-SimdBackend::tier() const
-{
-    return kernels_.tier;
-}
-
-void
-SimdBackend::run(size_t jobs, const std::function<void(size_t)> &fn) const
-{
-    for (size_t i = 0; i < jobs; ++i)
-        fn(i);
-}
-
-namespace {
-
-// The vector NTT kernels run an approximate-Shoup butterfly whose lazy
-// values reach 8q, so they need 8q < 2^63 (and the AVX2 variant's
-// unbiased signed compares need the same headroom). All shipped
-// parameter sets use <= 60-bit primes; a wider modulus falls back to
-// the scalar tables, which stay exact for any q < 2^62.
-inline bool
-simdNttSafe(const NttTables &table)
-{
-    return table.modulus().value() < (1ULL << 60);
-}
-
-} // namespace
-
-void
-SimdBackend::nttForwardLimbKernel(u64 *limb, const NttTables &table) const
-{
-    if (kernels_.ntt_forward != nullptr &&
-        table.degree() >= kernels_.min_ntt_degree && simdNttSafe(table))
-        kernels_.ntt_forward(limb, table);
-    else
-        table.forward(limb);
-}
-
-void
-SimdBackend::nttInverseLimbKernel(u64 *limb, const NttTables &table) const
-{
-    if (kernels_.ntt_inverse != nullptr &&
-        table.degree() >= kernels_.min_ntt_degree && simdNttSafe(table))
-        kernels_.ntt_inverse(limb, table);
-    else
-        table.inverse(limb);
-}
-
-void
-SimdBackend::bconvTileKernel(const BaseConverter &bc, const RnsPoly &in,
-                             size_t c0, size_t c1, u64 *scratch,
-                             RnsPoly &out) const
-{
-    if (kernels_.bconv_tile != nullptr)
-        kernels_.bconv_tile(bc, in, c0, c1, scratch, out);
-    else
-        bc.convertTile(in, c0, c1, scratch, out);
-}
-
-void
-SimdBackend::evkMulAccLimbKernel(const Modulus &m, const u64 *d,
-                                 const u64 *kb, const u64 *ka, u64 *ab,
-                                 u64 *aa, size_t n) const
-{
-    if (kernels_.evk_mac_limb != nullptr) {
-        kernels_.evk_mac_limb(m, d, kb, ka, ab, aa, n);
-        return;
-    }
-    KernelBackend::evkMulAccLimbKernel(m, d, kb, ka, ab, aa, n);
-}
-
-ParallelBackend::ParallelBackend(size_t num_threads)
-    : pool_(std::make_unique<ThreadPool>(num_threads))
-{
-}
-
-ParallelBackend::~ParallelBackend() = default;
-
-size_t
-ParallelBackend::threads() const
-{
-    return pool_->threads();
-}
-
-void
-ParallelBackend::run(size_t jobs,
-                     const std::function<void(size_t)> &fn) const
-{
-    pool_->parallelFor(jobs, fn);
-}
 
 std::unique_ptr<KernelBackend>
 makeKernelBackend(BackendKind kind, size_t num_threads)
 {
-    switch (kind) {
-      case BackendKind::Scalar:
-        return std::make_unique<ScalarBackend>();
-      case BackendKind::Parallel:
-        return std::make_unique<ParallelBackend>(num_threads);
-      case BackendKind::Simd:
-        return std::make_unique<SimdBackend>();
-    }
-    ARK_PANIC("unreachable");
+    return std::make_unique<KernelBackend>(kind, num_threads);
 }
 
 bool
 parseBackendKind(const char *name, BackendKind &out)
 {
-    if (std::strcmp(name, "scalar") == 0) {
-        out = BackendKind::Scalar;
-        return true;
-    }
-    if (std::strcmp(name, "parallel") == 0) {
-        out = BackendKind::Parallel;
-        return true;
-    }
-    if (std::strcmp(name, "simd") == 0) {
-        out = BackendKind::Simd;
-        return true;
+    for (BackendKind kind : {BackendKind::Scalar, BackendKind::Parallel,
+                             BackendKind::Simd}) {
+        if (std::strcmp(name, backendKindName(kind)) == 0) {
+            out = kind;
+            return true;
+        }
     }
     return false;
 }

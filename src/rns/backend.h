@@ -7,18 +7,15 @@
  *
  * The scheme layers (ckks/, boot/) never touch kernel loops directly;
  * they dispatch through the KernelBackend owned by their CkksContext.
- * That seam is what lets the same scheme code run on the scalar
- * reference engine, the limb-parallel thread-pool engine, and any
- * future accelerator-style engine, and it is where per-kernel
- * invocation counts and word-traffic tallies (KernelStats) are
- * recorded for core/traffic_analyzer and sim/simulator to consume.
+ * That seam is what lets the same scheme code run on any executor x
+ * kernel-table combination, and it is where per-kernel invocation
+ * counts and word-traffic tallies (KernelStats) are recorded for
+ * core/traffic_analyzer and sim/simulator to consume.
  *
- * Every shipped backend is bit-identical to the scalar reference:
- * ParallelBackend runs the exact same per-limb loop bodies and differs
- * only in the executor that maps limb jobs onto threads; SimdBackend
- * overrides the per-job kernel bodies with hand-vectorized AVX-512 /
- * AVX2 code that applies the same exact integer arithmetic lane-wise
- * (tests/test_backend_parity.cpp enforces both).
+ * Every combination is bit-identical to the serial scalar reference:
+ * the executor only decides which thread runs each independent job,
+ * and the vector kernel tables apply the same exact integer arithmetic
+ * lane-wise (tests/test_backend_parity.cpp enforces both).
  */
 
 #pragma once
@@ -37,21 +34,54 @@
 #include "rns/ntt.h"
 #include "rns/poly.h"
 #include "rns/poly_pool.h"
+#include "rns/simd_kernels.h"
 
 namespace ark {
 
-/** Engine executing all limb-level kernels; owned by a CkksContext. */
+class ThreadPool;
+
+/**
+ * Engine executing all limb-level kernels; owned by a CkksContext.
+ *
+ * One engine is an executor crossed with a kernel table. The executor
+ * is serial or a work-stealing thread pool (common/thread_pool.h); the
+ * table holds the per-job NTT, BConv-tile and evk-MAC bodies: the
+ * scalar reference loops, or the avx2 / avx512 vector kernels
+ * (rns/simd_kernels.h) dispatched from CPUID. Every kernel call splits
+ * into independent jobs (one per limb row, or one per BConv
+ * coefficient tile) of known size, and the pool fans a call out only
+ * when jobs x words per job reaches kGrainWords, so small rings never
+ * pay more dispatch latency than work.
+ */
 class KernelBackend
 {
   public:
-    KernelBackend();
-    virtual ~KernelBackend();
+    /** Smallest call (jobs x words per job) the pool fans out: an
+     *  N = 2^10 ciphertext's kernels (at most six 1024-word limbs)
+     *  stay serial, every N >= 2^12 kernel of 4+ limbs is parallel. */
+    static constexpr size_t kGrainWords = size_t(1) << 14;
 
-    virtual const char *name() const = 0;
-    virtual BackendKind kind() const = 0;
-    /** Threads applied to a kernel (1 for the scalar engine). */
-    virtual size_t threads() const = 0;
+    /**
+     * @param kind the shipped combination to build: Scalar = serial x
+     *     scalar table, Parallel = pool x scalar table, Simd = pool x
+     *     the best vector table the host runs.
+     * @param threads total threads of the pool executor, the caller
+     *     included (0 = hardware concurrency; 1 = serial). Ignored for
+     *     Scalar.
+     * @param max_tier cap on the Simd kernel table, further clamped by
+     *     ARK_SIMD_TIER and the host (tests pin a code path with it).
+     */
+    explicit KernelBackend(BackendKind kind = BackendKind::Scalar,
+                           size_t threads = 1,
+                           SimdTier max_tier = SimdTier::Avx512);
+    ~KernelBackend();
 
+    const char *name() const { return backendKindName(kind_); }
+    BackendKind kind() const { return kind_; }
+    /** Threads a kernel call may use, the caller included (1 = serial). */
+    size_t threads() const { return threads_; }
+    /** ISA tier of the kernel table (Scalar for the reference loops). */
+    SimdTier tier() const { return kernels_.tier; }
     /// @name Element-wise limb kernels
     /// @{
     void add(const RnsPoly &a, const RnsPoly &b,
@@ -133,6 +163,29 @@ class KernelBackend
                         const std::vector<const NttTables *> &in_tables,
                         const BaseConverter &bc,
                         const std::vector<const NttTables *> &out_tables);
+    /**
+     * Copy-free form of the fused digit path: reads the Eval-rep digit
+     * limbs in place through @p digit_rows (one per in-base prime,
+     * left unmodified) and writes each converted Eval-rep limb straight
+     * into @p out_rows (one per out-base prime), e.g. the missing limbs
+     * of an extended poly. Rows hold in_tables[0]->degree() words.
+     */
+    void nttBconvNtt(const std::vector<const u64 *> &digit_rows,
+                     const std::vector<const NttTables *> &in_tables,
+                     const BaseConverter &bc,
+                     const std::vector<const NttTables *> &out_tables,
+                     const std::vector<u64 *> &out_rows);
+    /// @}
+
+    /// @name Limb movement
+    /// Copies the scheme layers cannot avoid, run through the executor
+    /// (untallied: KernelStats counts modular arithmetic only).
+    /// @{
+    /** dst limbs [dst_lo, dst_lo + count) = src limbs [src_lo, ...). */
+    void copyLimbs(const RnsPoly &src, size_t src_lo, RnsPoly &dst,
+                   size_t dst_lo, size_t count);
+    /** A pooled (degree x limbs) poly with every word cleared. */
+    RnsPoly acquireZeroed(size_t degree, size_t limbs, Rep rep);
     /// @}
 
     /// @name Measured execution tallies
@@ -160,37 +213,31 @@ class KernelBackend
      */
     PolyPool &pool() { return pool_; }
 
-  protected:
+  private:
     /**
-     * Execute @p jobs independent jobs (one per limb row, or one per
-     * output limb). Scalar and Parallel differ only here.
+     * Execute @p jobs independent jobs of about @p job_words words
+     * each: serially on the caller, or fanned out over the pool when
+     * the call reaches kGrainWords.
      */
-    virtual void run(size_t jobs,
-                     const std::function<void(size_t)> &fn) const = 0;
+    void run(size_t jobs, size_t job_words,
+             const std::function<void(size_t)> &fn) const;
 
     /// @name Per-job kernel bodies
-    /// The innermost loop bodies every NTT / BConv / evk-MAC job
-    /// executes. Defaults are the reference scalar loops; SimdBackend
-    /// overrides them with hand-vectorized kernels that compute the
-    /// same arithmetic lane-wise (bit-identical by construction).
-    /// Element-wise kernels stay non-virtual: they are memory-bound
-    /// and the compiler already vectorizes their trivial loops.
+    /// The innermost bodies every NTT / BConv job executes (evkMulAcc
+    /// inlines its own): the kernel table's vector code when it has an
+    /// entry for the call, the reference scalar loop otherwise
+    /// (bit-identical either way). Element-wise kernels have no table
+    /// entry: they are memory-bound and the compiler already
+    /// vectorizes their loops.
     /// @{
     /** One limb of the lazy forward NTT (in place). */
-    virtual void nttForwardLimbKernel(u64 *limb,
-                                      const NttTables &table) const;
+    void nttForwardLimbKernel(u64 *limb, const NttTables &table) const;
     /** One limb of the lazy inverse NTT (in place). */
-    virtual void nttInverseLimbKernel(u64 *limb,
-                                      const NttTables &table) const;
-    /** One fused BConv scale+MAC tile (convertTile contract;
-     *  @p scratch holds >= BaseConverter::kTileWords words). */
-    virtual void bconvTileKernel(const BaseConverter &bc,
-                                 const RnsPoly &in, size_t c0, size_t c1,
-                                 u64 *scratch, RnsPoly &out) const;
-    /** One limb of the evk MAC: ab += d * kb, aa += d * ka mod m. */
-    virtual void evkMulAccLimbKernel(const Modulus &m, const u64 *d,
-                                     const u64 *kb, const u64 *ka,
-                                     u64 *ab, u64 *aa, size_t n) const;
+    void nttInverseLimbKernel(u64 *limb, const NttTables &table) const;
+    /** One fused BConv scale+MAC tile (convertTile contract). */
+    void bconvTileKernel(const BaseConverter &bc, const u64 *const *in,
+                         size_t c0, size_t c1, u64 *scratch,
+                         u64 *const *out) const;
     /// @}
 
     /** Tally one kernel call into the calling thread's shard. */
@@ -198,7 +245,6 @@ class KernelBackend
     /** Tally evk operand-stream words (EvkMulAcc). */
     void noteEvkWords(u64 words);
 
-  private:
     struct StatsShard;
     /** The calling thread's shard for this backend instance
      *  (registered on first use, found via a thread-local cache). */
@@ -211,88 +257,19 @@ class KernelBackend
     mutable std::mutex shards_m_;
     mutable std::vector<std::unique_ptr<StatsShard>> shards_;
     PolyPool pool_;
-};
-
-/** The reference engine: serial execution of every job. */
-class ScalarBackend final : public KernelBackend
-{
-  public:
-    const char *name() const override { return "scalar"; }
-    BackendKind kind() const override { return BackendKind::Scalar; }
-    size_t threads() const override { return 1; }
-
-  protected:
-    void run(size_t jobs,
-             const std::function<void(size_t)> &fn) const override;
-};
-
-struct SimdKernels;
-
-/**
- * Hand-vectorized engine: serial over limb jobs like ScalarBackend,
- * but each NTT / BConv-tile / evk-MAC job body runs the AVX-512 or
- * AVX2 kernels from rns/simd_kernels.cpp, picked at construction from
- * the host CPU (capped by @p max_tier and by ARK_SIMD_TIER). On hosts
- * with no vector ISA — or for transforms too small to fill a vector —
- * every call falls back to the scalar loop body, never aborts, so
- * ARK_BACKEND=simd is safe everywhere.
- */
-class SimdBackend final : public KernelBackend
-{
-  public:
-    /** @param max_tier cap on the dispatched ISA tier (the default
-     *  caps nothing; tests pass lower tiers to pin a code path). */
-    explicit SimdBackend(SimdTier max_tier = SimdTier::Avx512);
-
-    const char *name() const override { return "simd"; }
-    BackendKind kind() const override { return BackendKind::Simd; }
-    size_t threads() const override { return 1; }
-
-    /** The ISA tier actually dispatched after host/env clamping. */
-    SimdTier tier() const;
-
-  protected:
-    void run(size_t jobs,
-             const std::function<void(size_t)> &fn) const override;
-
-    void nttForwardLimbKernel(u64 *limb,
-                              const NttTables &table) const override;
-    void nttInverseLimbKernel(u64 *limb,
-                              const NttTables &table) const override;
-    void bconvTileKernel(const BaseConverter &bc, const RnsPoly &in,
-                         size_t c0, size_t c1, u64 *scratch,
-                         RnsPoly &out) const override;
-    void evkMulAccLimbKernel(const Modulus &m, const u64 *d,
-                             const u64 *kb, const u64 *ka, u64 *ab,
-                             u64 *aa, size_t n) const override;
-
-  private:
+    const BackendKind kind_;
     const SimdKernels &kernels_;
+    const size_t threads_;
+    /** The pool executor; null for the serial one. */
+    std::unique_ptr<ThreadPool> exec_;
 };
 
-class ThreadPool;
+/** The simd engine's former class name: code that casts a backend to
+ *  it to read tier() keeps compiling (every engine reports tier()). */
+using SimdBackend = KernelBackend;
 
-/** Limb-parallel engine over a work-stealing thread pool. */
-class ParallelBackend final : public KernelBackend
-{
-  public:
-    /** @param num_threads pool workers; 0 = hardware concurrency. */
-    explicit ParallelBackend(size_t num_threads = 0);
-    ~ParallelBackend() override;
-
-    const char *name() const override { return "parallel"; }
-    BackendKind kind() const override { return BackendKind::Parallel; }
-    size_t threads() const override;
-
-  protected:
-    void run(size_t jobs,
-             const std::function<void(size_t)> &fn) const override;
-
-  private:
-    std::unique_ptr<ThreadPool> pool_;
-};
-
-/** Build a backend of @p kind (@p num_threads: 0 = hardware). */
+/** Build a backend of @p kind (@p num_threads: total threads,
+ *  0 = hardware concurrency). */
 std::unique_ptr<KernelBackend> makeKernelBackend(BackendKind kind,
                                                  size_t num_threads = 0);
 

@@ -11,25 +11,19 @@
 
 namespace ark {
 
-/** Which kernel engine executes limb-level compute. */
+/** Which executor x kernel-table combination executes limb-level
+ *  compute (rns/backend.h). */
 enum class BackendKind {
-    Scalar,   ///< single-threaded reference loops
-    Parallel, ///< limb-parallel over a work-stealing thread pool
-    Simd,     ///< hand-vectorized kernels (AVX-512/AVX2, CPUID dispatch)
+    Scalar,   ///< serial executor, scalar reference loops
+    Parallel, ///< thread-pool executor, scalar reference loops
+    Simd,     ///< thread-pool executor, AVX-512/AVX2 kernels (CPUID)
 };
 
 inline const char *
 backendKindName(BackendKind kind)
 {
-    switch (kind) {
-      case BackendKind::Scalar:
-        return "scalar";
-      case BackendKind::Parallel:
-        return "parallel";
-      case BackendKind::Simd:
-        return "simd";
-    }
-    return "scalar";
+    static const char *const names[] = {"scalar", "parallel", "simd"};
+    return names[static_cast<size_t>(kind)];
 }
 
 /** Parse "scalar" / "parallel" / "simd"; false on anything else. */

@@ -114,9 +114,12 @@ BaseConverter::convert(const RnsPoly &in) const
     RnsPoly out =
         PolyPool::process().acquire(n, out_base_.size(), Rep::Coeff);
     alignas(64) u64 scratch[kTileWords];
+    const auto in_rows = in.rows(0, in.numLimbs());
+    const auto out_rows = out.mutableRows(0, out.numLimbs());
     const size_t tile = tile_coeffs_;
     for (size_t c0 = 0; c0 < n; c0 += tile)
-        convertTile(in, c0, std::min(c0 + tile, n), scratch, out);
+        convertTile(in_rows.data(), c0, std::min(c0 + tile, n), scratch,
+                    out_rows.data());
     return out;
 }
 

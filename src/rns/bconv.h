@@ -56,19 +56,22 @@ class BaseConverter
      * each input limb's tile segment by phat_j^-1 into a TRANSPOSED
      * per-tile scratch (scratch[(c - c0) * |B| + j], so the MAC's
      * inner j loop reads contiguous words instead of striding
-     * in.limb(j)[c] across limb rows N words apart), then runs the
-     * unrolled base-table MAC into out.limb(i)[c0..c1) for every
-     * output limb. @p scratch must hold at least (c1 - c0) * |B|
-     * words (kTileWords covers any tile the class sizes). Tiles are
-     * independent: callers may process them in any order or in
-     * parallel (the kernel backends parallelize over tiles).
+     * in[j][c] across limb rows N words apart), then runs the
+     * unrolled base-table MAC into out[i][c0..c1) for every output
+     * limb. @p in and @p out hold one row per input / output prime;
+     * rows may live anywhere (e.g. limbs of a larger poly, read and
+     * written in place). @p scratch must hold at least
+     * (c1 - c0) * |B| words (kTileWords covers any tile the class
+     * sizes). Tiles are independent: callers may process them in any
+     * order or in parallel (the kernel engine parallelizes over
+     * tiles).
      *
      * Defined inline below: every call site passes a stack-local
      * scratch array, and inlining is what lets the compiler prove it
      * aliases nothing — worth ~15% on the MAC.
      */
-    void convertTile(const RnsPoly &in, size_t c0, size_t c1,
-                     u64 *scratch, RnsPoly &out) const;
+    void convertTile(const u64 *const *in, size_t c0, size_t c1,
+                     u64 *scratch, u64 *const *out) const;
 
     /**
      * First BConv stage only: multiply limb j by phat_j^-1 mod p_j.
@@ -116,8 +119,8 @@ class BaseConverter
 };
 
 inline void
-BaseConverter::convertTile(const RnsPoly &in, size_t c0, size_t c1,
-                           u64 *scratch, RnsPoly &out) const
+BaseConverter::convertTile(const u64 *const *in, size_t c0, size_t c1,
+                           u64 *scratch, u64 *const *out) const
 {
     const size_t nb = in_base_.size();
     const size_t nc = out_base_.size();
@@ -130,7 +133,7 @@ BaseConverter::convertTile(const RnsPoly &in, size_t c0, size_t c1,
         const Modulus &pj = in_base_[j];
         const u64 s = phat_inv_mod_pj_[j];
         const u64 ss = phat_inv_mod_pj_shoup_[j];
-        const u64 *src = in.limb(j) + c0;
+        const u64 *src = in[j] + c0;
         u64 *dst = scratch + j;
         for (size_t c = 0; c < tile; ++c)
             dst[c * nb] = pj.mulShoup(src[c], s, ss);
@@ -165,8 +168,8 @@ BaseConverter::convertTile(const RnsPoly &in, size_t c0, size_t c1,
         u64 b0[32], b1[32];
         const u64 *r0 = tableRow(i, b0);
         const u64 *r1 = tableRow(i + 1, b1);
-        u64 *d0 = out.limb(i) + c0;
-        u64 *d1 = out.limb(i + 1) + c0;
+        u64 *d0 = out[i] + c0;
+        u64 *d1 = out[i + 1] + c0;
         size_t c = 0;
         for (; c + 2 <= tile; c += 2) {
             const u64 *y0 = scratch + c * nb;
@@ -199,7 +202,7 @@ BaseConverter::convertTile(const RnsPoly &in, size_t c0, size_t c1,
         const Modulus &qi = out_base_[i];
         u64 buf[32];
         const u64 *row = tableRow(i, buf);
-        u64 *dst = out.limb(i) + c0;
+        u64 *dst = out[i] + c0;
         for (size_t c = 0; c < tile; ++c) {
             const u64 *y = scratch + c * nb;
             u128 acc = 0;

@@ -1,5 +1,6 @@
 #include "rns/cpu_features.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -99,6 +100,12 @@ simdTierFromEnv(SimdTier fallback)
         ARK_FATAL(msg);
     }
     return tier;
+}
+
+SimdTier
+dispatchedSimdTier(SimdTier cap)
+{
+    return std::min(simdTierFromEnv(cap), detectSimdTier());
 }
 
 std::string

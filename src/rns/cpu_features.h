@@ -2,7 +2,7 @@
  * @file
  * Runtime CPU-feature detection for the SIMD kernel engine.
  *
- * The SimdBackend picks its vector ISA at startup from CPUID-style
+ * The simd kernel engine picks its vector ISA at startup from CPUID-style
  * probes (AVX-512 -> AVX2 -> scalar; NEON is a recognized tier with a
  * stub implementation that currently falls back to scalar loops), so
  * one binary runs correctly on any host. The tier can be capped — never
@@ -41,10 +41,15 @@ SimdTier detectSimdTier();
 /**
  * ARK_SIMD_TIER env override, else @p fallback; exits with a clear
  * error naming the offending value on junk input. The returned tier is
- * a *request*: SimdBackend clamps it to detectSimdTier(), so asking
- * for avx512 on a plain-AVX2 host degrades cleanly instead of faulting.
+ * a *request*: dispatchedSimdTier() clamps it to detectSimdTier(), so
+ * asking for avx512 on a plain-AVX2 host degrades cleanly instead of
+ * faulting.
  */
 SimdTier simdTierFromEnv(SimdTier fallback);
+
+/** Tier the simd engine dispatches when capped at @p cap, without
+ *  building one: min(simdTierFromEnv(cap), detectSimdTier()). */
+SimdTier dispatchedSimdTier(SimdTier cap = SimdTier::Avx512);
 
 /** Space-separated detected-feature list ("avx512f avx2 ..."), for
  *  bench provenance so baselines from different hosts never get

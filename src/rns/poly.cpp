@@ -32,6 +32,26 @@ RnsPoly::takeBuffer() &&
     return std::move(data_);
 }
 
+std::vector<const u64 *>
+RnsPoly::rows(size_t lo, size_t hi) const
+{
+    ARK_ASSERT(lo <= hi && hi <= num_limbs_, "limb range out of bounds");
+    std::vector<const u64 *> out;
+    for (size_t l = lo; l < hi; ++l)
+        out.push_back(limb(l));
+    return out;
+}
+
+std::vector<u64 *>
+RnsPoly::mutableRows(size_t lo, size_t hi)
+{
+    ARK_ASSERT(lo <= hi && hi <= num_limbs_, "limb range out of bounds");
+    std::vector<u64 *> out;
+    for (size_t l = lo; l < hi; ++l)
+        out.push_back(limb(l));
+    return out;
+}
+
 void
 RnsPoly::resizeLimbs(size_t keep)
 {

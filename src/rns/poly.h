@@ -44,6 +44,12 @@ class RnsPoly
     u64 *limb(size_t i) { return data_.data() + i * degree_; }
     const u64 *limb(size_t i) const { return data_.data() + i * degree_; }
 
+    /** Row pointers of limbs [lo, hi): a non-owning view that lets a
+     *  kernel read a limb range in place instead of copying it. */
+    std::vector<const u64 *> rows(size_t lo, size_t hi) const;
+    /** Writable row pointers of limbs [lo, hi). */
+    std::vector<u64 *> mutableRows(size_t lo, size_t hi);
+
     /** Drop limbs beyond @p keep (HRescale / ModDown bookkeeping). */
     void resizeLimbs(size_t keep);
 

@@ -543,8 +543,8 @@ nttInverseAvx512(u64 *a, const NttTables &tb)
 // ---------------------------------------------------------------------------
 
 ARK_T512 void
-bconvTileAvx512(const BaseConverter &bc, const RnsPoly &in, size_t c0,
-                size_t c1, u64 *scratch, RnsPoly &out)
+bconvTileAvx512(const BaseConverter &bc, const u64 *const *in, size_t c0,
+                size_t c1, u64 *scratch, u64 *const *out)
 {
     const size_t nb = bc.inBase().size();
     const size_t nc = bc.outBase().size();
@@ -557,7 +557,7 @@ bconvTileAvx512(const BaseConverter &bc, const RnsPoly &in, size_t c0,
         const Modulus &pj = bc.inBase()[j];
         const u64 s = bc.phatInvModP(j);
         const u64 ss = bc.phatInvModPShoup(j);
-        const u64 *src = in.limb(j) + c0;
+        const u64 *src = in[j] + c0;
         u64 *dst = scratch + j * tile;
         const __m512i q = set1_512(pj.value());
         const __m512i q_hi = set1_512(pj.value() >> 32);
@@ -579,7 +579,7 @@ bconvTileAvx512(const BaseConverter &bc, const RnsPoly &in, size_t c0,
     for (size_t i = 0; i < nc; ++i) {
         const Modulus &qi = bc.outBase()[i];
         const Mod512 md = loadMod512(qi);
-        u64 *dst = out.limb(i) + c0;
+        u64 *dst = out[i] + c0;
         size_t c = 0;
         for (; c + 8 <= tile; c += 8) {
             __m512i acc_lo = _mm512_setzero_si512();
@@ -1055,8 +1055,8 @@ nttInverseAvx2(u64 *a, const NttTables &tb)
 // ---------------------------------------------------------------------------
 
 ARK_T256 void
-bconvTileAvx2(const BaseConverter &bc, const RnsPoly &in, size_t c0,
-              size_t c1, u64 *scratch, RnsPoly &out)
+bconvTileAvx2(const BaseConverter &bc, const u64 *const *in, size_t c0,
+              size_t c1, u64 *scratch, u64 *const *out)
 {
     const size_t nb = bc.inBase().size();
     const size_t nc = bc.outBase().size();
@@ -1068,7 +1068,7 @@ bconvTileAvx2(const BaseConverter &bc, const RnsPoly &in, size_t c0,
         const Modulus &pj = bc.inBase()[j];
         const u64 s = bc.phatInvModP(j);
         const u64 ss = bc.phatInvModPShoup(j);
-        const u64 *src = in.limb(j) + c0;
+        const u64 *src = in[j] + c0;
         u64 *dst = scratch + j * tile;
         const __m256i q = set1_256(pj.value());
         const __m256i q_hi = set1_256(pj.value() >> 32);
@@ -1089,7 +1089,7 @@ bconvTileAvx2(const BaseConverter &bc, const RnsPoly &in, size_t c0,
     for (size_t i = 0; i < nc; ++i) {
         const Modulus &qi = bc.outBase()[i];
         const Mod256 md = loadMod256(qi);
-        u64 *dst = out.limb(i) + c0;
+        u64 *dst = out[i] + c0;
         size_t c = 0;
         for (; c + 4 <= tile; c += 4) {
             __m256i acc_lo = _mm256_setzero_si256();

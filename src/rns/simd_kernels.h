@@ -1,7 +1,8 @@
 /**
  * @file
- * Hand-vectorized limb kernels for the SimdBackend (AVX2 / AVX-512F,
- * selected at runtime; see rns/cpu_features.h for the tier probe).
+ * Hand-vectorized limb kernels: the avx2 / avx512 kernel tables of the
+ * kernel engine (rns/backend.h), selected at runtime; see
+ * rns/cpu_features.h for the tier probe.
  *
  * Each entry runs the exact same integer arithmetic as its scalar
  * counterpart, lane-wise: the Harvey lazy NTT keeps its [0, 4q)
@@ -13,11 +14,11 @@
  * word. All operations are exact arithmetic mod 2^64 applied in the
  * same per-element order as the scalar loops, so results are
  * bit-identical by construction (tests/test_backend_parity.cpp
- * enforces it against ScalarBackend on every kernel).
+ * enforces it against the scalar table on every kernel).
  *
  * Null function pointers mean "no vector kernel at this tier" (scalar
  * hosts, the NEON stub tier, degrees below min_ntt_degree) and the
- * SimdBackend falls back to the scalar loop for that call — never an
+ * engine falls back to the scalar loop for that call — never an
  * abort.
  */
 
@@ -33,7 +34,6 @@ namespace ark {
 class BaseConverter;
 class Modulus;
 class NttTables;
-class RnsPoly;
 
 /** Function table of one vector ISA tier's kernels. */
 struct SimdKernels
@@ -50,9 +50,9 @@ struct SimdKernels
     void (*ntt_inverse)(u64 *limb, const NttTables &tables) = nullptr;
     /** Fused BConv scale+MAC over a coefficient tile [c0, c1)
      *  (== BaseConverter::convertTile; scratch >= kTileWords). */
-    void (*bconv_tile)(const BaseConverter &bc, const RnsPoly &in,
+    void (*bconv_tile)(const BaseConverter &bc, const u64 *const *in,
                        size_t c0, size_t c1, u64 *scratch,
-                       RnsPoly &out) = nullptr;
+                       u64 *const *out) = nullptr;
     /** One limb of the key-switch MAC: ab += d * kb, aa += d * ka
      *  (== the KernelBackend::evkMulAcc inner loop). */
     void (*evk_mac_limb)(const Modulus &m, const u64 *d, const u64 *kb,

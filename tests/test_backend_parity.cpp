@@ -1,8 +1,10 @@
 /**
  * @file
- * Bit-exactness of the ParallelBackend and the SimdBackend against the
- * ScalarBackend for every kernel, across several (N, L) shapes,
- * including the fused nttBconvNtt key-switch digit path — plus sanity
+ * Bit-exactness of every kernel-engine combination (executor x kernel
+ * table) against the serial scalar engine for every kernel, across
+ * several (N, L) shapes on both sides of the executor's fan-out grain
+ * and at 1, 2 and 4 threads, including the fused nttBconvNtt
+ * key-switch digit path and its copy-free row form — plus sanity
  * checks that the engines record KernelStats for what they executed.
  *
  * Also gates the lazy-reduction kernel pass: the Harvey lazy NTT must
@@ -10,11 +12,12 @@
  * parameter-set prime width, the fused cache-blocked BConv must equal
  * the two-stage pipeline, and kernels running over recycled
  * (stale-content) pool buffers must be bit-identical to fresh
- * allocations on both backends.
+ * allocations on every engine.
  *
  * The SimdTierParityTest suite sweeps the vector kernels per ISA tier
- * (skipping tiers the host cannot run), including the sub-vector-degree
- * and wide-modulus fallbacks onto the scalar transforms.
+ * and thread count (skipping tiers the host cannot run), including the
+ * sub-vector-degree and wide-modulus fallbacks onto the scalar
+ * transforms.
  */
 
 #include <gtest/gtest.h>
@@ -35,13 +38,46 @@ struct Shape
     size_t limbs;
 };
 
-class BackendParityTest : public ::testing::TestWithParam<Shape>
+constexpr SimdTier kTiers[] = {SimdTier::Scalar, SimdTier::Avx2,
+                               SimdTier::Avx512};
+
+/**
+ * An engine running the @p tier kernel table on @p threads threads, or
+ * nullptr when the host cannot run that tier (the engine clamps the
+ * request to what CPUID reports, so a request coming back at a lower
+ * tier means "unavailable" — callers skip it, keeping the suites green
+ * on any machine). The scalar tier is the `parallel` combination.
+ */
+std::unique_ptr<KernelBackend>
+engineAt(SimdTier tier, size_t threads)
+{
+    auto be = tier == SimdTier::Scalar
+                  ? std::make_unique<KernelBackend>(BackendKind::Parallel,
+                                                    threads)
+                  : std::make_unique<KernelBackend>(BackendKind::Simd,
+                                                    threads, tier);
+    if (be->tier() != tier)
+        return nullptr;
+    return be;
+}
+
+/** "avx512 x4 threads" for SCOPED_TRACE. */
+std::string
+engineLabel(const KernelBackend &kb)
+{
+    return std::string(simdTierName(kb.tier())) + " x" +
+           std::to_string(kb.threads()) + " threads";
+}
+
+class BackendParityTest
+    : public ::testing::TestWithParam<std::tuple<Shape, size_t>>
 {
   protected:
     void SetUp() override
     {
-        degree_ = GetParam().degree;
-        limbs_ = GetParam().limbs;
+        degree_ = std::get<0>(GetParam()).degree;
+        limbs_ = std::get<0>(GetParam()).limbs;
+        const size_t threads = std::get<1>(GetParam());
         auto qs = generatePrimes(40, limbs_, degree_);
         for (u64 q : qs) {
             moduli_.emplace_back(q);
@@ -51,8 +87,12 @@ class BackendParityTest : public ::testing::TestWithParam<Shape>
             table_ptrs_.push_back(&t);
 
         scalar_ = makeKernelBackend(BackendKind::Scalar);
-        parallel_ = makeKernelBackend(BackendKind::Parallel, 4);
-        simd_ = makeKernelBackend(BackendKind::Simd);
+        for (SimdTier tier : kTiers) {
+            if (auto be = engineAt(tier, threads))
+                engines_.push_back(std::move(be));
+        }
+        ASSERT_FALSE(engines_.empty());
+        ASSERT_EQ(engines_[0]->threads(), threads);
     }
 
     RnsPoly randomPoly(Rep rep, u64 seed, size_t limbs = 0) const
@@ -87,9 +127,10 @@ class BackendParityTest : public ::testing::TestWithParam<Shape>
     std::vector<Modulus> moduli_;
     std::vector<NttTables> tables_;
     std::vector<const NttTables *> table_ptrs_;
+    /** The reference: serial executor, scalar kernel table. */
     std::unique_ptr<KernelBackend> scalar_;
-    std::unique_ptr<KernelBackend> parallel_;
-    std::unique_ptr<KernelBackend> simd_; ///< best tier the host runs
+    /** Every available kernel table on the parameter's thread count. */
+    std::vector<std::unique_ptr<KernelBackend>> engines_;
 };
 
 TEST_P(BackendParityTest, ElementwiseKernels)
@@ -101,14 +142,14 @@ TEST_P(BackendParityTest, ElementwiseKernels)
         scalars.push_back(m.value() / 5 + 1);
 
     auto check2 = [&](auto &&op) {
-        RnsPoly rs(degree_, limbs_, Rep::Eval);
-        RnsPoly rp(degree_, limbs_, Rep::Eval);
-        RnsPoly rv(degree_, limbs_, Rep::Eval);
-        op(*scalar_, rs);
-        op(*parallel_, rp);
-        op(*simd_, rv);
-        expectIdentical(rs, rp);
-        expectIdentical(rs, rv);
+        RnsPoly want(degree_, limbs_, Rep::Eval);
+        op(*scalar_, want);
+        for (auto &kb : engines_) {
+            SCOPED_TRACE(engineLabel(*kb));
+            RnsPoly got(degree_, limbs_, Rep::Eval);
+            op(*kb, got);
+            expectIdentical(want, got);
+        }
     };
 
     check2([&](KernelBackend &kb, RnsPoly &r) { kb.add(a, b, moduli_, r); });
@@ -126,16 +167,27 @@ TEST_P(BackendParityTest, ElementwiseKernels)
     check2([&](KernelBackend &kb, RnsPoly &r) {
         kb.subMulScalar(a, b, scalars, moduli_, r);
     });
+    // Limb movement: a copy of limbs [1, L) shifted down one row, and
+    // a zeroed acquire over a polluted pool.
+    check2([&](KernelBackend &kb, RnsPoly &r) {
+        kb.copyLimbs(a, 1, r, 0, limbs_ - 1);
+        kb.copyLimbs(a, 0, r, limbs_ - 1, 1);
+    });
+    check2([&](KernelBackend &kb, RnsPoly &r) {
+        kb.pool().release(randomPoly(Rep::Eval, 14));
+        r = kb.acquireZeroed(degree_, limbs_, Rep::Eval);
+    });
 
     // MAC accumulates into the result: seed both sides identically.
-    RnsPoly acc_s = randomPoly(Rep::Eval, 3);
-    RnsPoly acc_p = acc_s;
-    RnsPoly acc_v = acc_s;
-    scalar_->mulAccEval(a, b, moduli_, acc_s);
-    parallel_->mulAccEval(a, b, moduli_, acc_p);
-    simd_->mulAccEval(a, b, moduli_, acc_v);
-    expectIdentical(acc_s, acc_p);
-    expectIdentical(acc_s, acc_v);
+    RnsPoly want = randomPoly(Rep::Eval, 3);
+    RnsPoly seed = want;
+    scalar_->mulAccEval(a, b, moduli_, want);
+    for (auto &kb : engines_) {
+        SCOPED_TRACE(engineLabel(*kb));
+        RnsPoly got = seed;
+        kb->mulAccEval(a, b, moduli_, got);
+        expectIdentical(want, got);
+    }
 }
 
 TEST_P(BackendParityTest, MonomialMulAndLimbEmbed)
@@ -143,47 +195,45 @@ TEST_P(BackendParityTest, MonomialMulAndLimbEmbed)
     auto a = randomPoly(Rep::Coeff, 4);
     for (size_t shift : {size_t(0), size_t(1), degree_ / 2,
                          degree_ - 1}) {
-        RnsPoly rs(degree_, limbs_, Rep::Coeff);
-        RnsPoly rp(degree_, limbs_, Rep::Coeff);
-        RnsPoly rv(degree_, limbs_, Rep::Coeff);
-        scalar_->monomialMul(a, shift, moduli_, rs);
-        parallel_->monomialMul(a, shift, moduli_, rp);
-        simd_->monomialMul(a, shift, moduli_, rv);
-        expectIdentical(rs, rp);
-        expectIdentical(rs, rv);
+        RnsPoly want(degree_, limbs_, Rep::Coeff);
+        scalar_->monomialMul(a, shift, moduli_, want);
+        for (auto &kb : engines_) {
+            SCOPED_TRACE(engineLabel(*kb));
+            RnsPoly got(degree_, limbs_, Rep::Coeff);
+            kb->monomialMul(a, shift, moduli_, got);
+            expectIdentical(want, got);
+        }
     }
 
     Rng rng(5);
     auto src = rng.uniformVector(degree_, moduli_[0].value());
-    RnsPoly es(degree_, limbs_, Rep::Coeff);
-    RnsPoly ep(degree_, limbs_, Rep::Coeff);
-    RnsPoly ev(degree_, limbs_, Rep::Coeff);
-    scalar_->limbEmbed(src, moduli_[0], moduli_, es);
-    parallel_->limbEmbed(src, moduli_[0], moduli_, ep);
-    simd_->limbEmbed(src, moduli_[0], moduli_, ev);
-    expectIdentical(es, ep);
-    expectIdentical(es, ev);
+    RnsPoly want(degree_, limbs_, Rep::Coeff);
+    scalar_->limbEmbed(src, moduli_[0], moduli_, want);
+    for (auto &kb : engines_) {
+        SCOPED_TRACE(engineLabel(*kb));
+        RnsPoly got(degree_, limbs_, Rep::Coeff);
+        kb->limbEmbed(src, moduli_[0], moduli_, got);
+        expectIdentical(want, got);
+    }
 }
 
 TEST_P(BackendParityTest, NttRoundTrip)
 {
-    auto a = randomPoly(Rep::Coeff, 6);
-    auto original = a;
-    auto b = a;
-    auto c = a;
+    const auto original = randomPoly(Rep::Coeff, 6);
+    RnsPoly fwd = original;
+    scalar_->nttForward(fwd, table_ptrs_);
+    RnsPoly inv = fwd;
+    scalar_->nttInverse(inv, table_ptrs_);
+    expectIdentical(inv, original);
 
-    scalar_->nttForward(a, table_ptrs_);
-    parallel_->nttForward(b, table_ptrs_);
-    simd_->nttForward(c, table_ptrs_);
-    expectIdentical(a, b);
-    expectIdentical(a, c);
-
-    scalar_->nttInverse(a, table_ptrs_);
-    parallel_->nttInverse(b, table_ptrs_);
-    simd_->nttInverse(c, table_ptrs_);
-    expectIdentical(a, b);
-    expectIdentical(a, c);
-    expectIdentical(a, original);
+    for (auto &kb : engines_) {
+        SCOPED_TRACE(engineLabel(*kb));
+        RnsPoly got = original;
+        kb->nttForward(got, table_ptrs_);
+        expectIdentical(fwd, got);
+        kb->nttInverse(got, table_ptrs_);
+        expectIdentical(inv, got);
+    }
 }
 
 TEST_P(BackendParityTest, BConvMatchesScalarAndReference)
@@ -196,14 +246,13 @@ TEST_P(BackendParityTest, BConvMatchesScalarAndReference)
     BaseConverter bc(moduli_, out_base);
 
     auto in = randomPoly(Rep::Coeff, 7, nb);
-    RnsPoly rs = scalar_->bconv(bc, in);
-    RnsPoly rp = parallel_->bconv(bc, in);
-    RnsPoly rv = simd_->bconv(bc, in);
-    expectIdentical(rs, rp);
-    expectIdentical(rs, rv);
+    RnsPoly want = scalar_->bconv(bc, in);
     // Cross-check against the standalone reference implementation.
-    RnsPoly ref = bc.convert(in);
-    expectIdentical(rs, ref);
+    expectIdentical(want, bc.convert(in));
+    for (auto &kb : engines_) {
+        SCOPED_TRACE(engineLabel(*kb));
+        expectIdentical(want, kb->bconv(bc, in));
+    }
 }
 
 TEST_P(BackendParityTest, AutomorphismBothReps)
@@ -212,11 +261,11 @@ TEST_P(BackendParityTest, AutomorphismBothReps)
     Automorphism am(g, degree_);
     for (Rep rep : {Rep::Coeff, Rep::Eval}) {
         auto p = randomPoly(rep, 8);
-        RnsPoly rs = scalar_->automorphism(am, p, moduli_);
-        RnsPoly rp = parallel_->automorphism(am, p, moduli_);
-        RnsPoly rv = simd_->automorphism(am, p, moduli_);
-        expectIdentical(rs, rp);
-        expectIdentical(rs, rv);
+        RnsPoly want = scalar_->automorphism(am, p, moduli_);
+        for (auto &kb : engines_) {
+            SCOPED_TRACE(engineLabel(*kb));
+            expectIdentical(want, kb->automorphism(am, p, moduli_));
+        }
     }
 }
 
@@ -235,14 +284,7 @@ TEST_P(BackendParityTest, FusedNttBconvNttMatchesUnfusedPipeline)
     BaseConverter bc(moduli_, out_base);
 
     auto digit = randomPoly(Rep::Eval, 9);
-    RnsPoly fused_s = scalar_->nttBconvNtt(digit, table_ptrs_, bc,
-                                           out_ptrs);
-    RnsPoly fused_p = parallel_->nttBconvNtt(digit, table_ptrs_, bc,
-                                             out_ptrs);
-    RnsPoly fused_v = simd_->nttBconvNtt(digit, table_ptrs_, bc,
-                                         out_ptrs);
-    expectIdentical(fused_s, fused_p);
-    expectIdentical(fused_s, fused_v);
+    RnsPoly want = scalar_->nttBconvNtt(digit, table_ptrs_, bc, out_ptrs);
 
     // The fused path must equal the unfused INTT -> BConv -> NTT
     // pipeline bit for bit.
@@ -250,7 +292,41 @@ TEST_P(BackendParityTest, FusedNttBconvNttMatchesUnfusedPipeline)
     scalar_->nttInverse(unfused, table_ptrs_);
     RnsPoly conv = bc.convert(unfused);
     scalar_->nttForward(conv, out_ptrs);
-    expectIdentical(fused_s, conv);
+    expectIdentical(want, conv);
+
+    for (auto &kb : engines_) {
+        SCOPED_TRACE(engineLabel(*kb));
+        expectIdentical(want,
+                        kb->nttBconvNtt(digit, table_ptrs_, bc, out_ptrs));
+
+        // Copy-free row form: read the digit in place from the middle
+        // of a wider poly and write the output rows interleaved with
+        // untouched guard rows, as decompose does with an extended
+        // poly. The source and the guards must come back unmodified.
+        const size_t nc = out_base.size();
+        RnsPoly wide = randomPoly(Rep::Eval, 15, limbs_ + 2);
+        for (size_t l = 0; l < limbs_; ++l)
+            std::copy(digit.limb(l), digit.limb(l) + degree_,
+                      wide.limb(l + 1));
+        const RnsPoly wide_before = wide;
+        RnsPoly ext = randomPoly(Rep::Eval, 16, 2 * nc);
+        const RnsPoly ext_before = ext;
+        std::vector<u64 *> rows;
+        for (size_t i = 0; i < nc; ++i)
+            rows.push_back(ext.limb(2 * i));
+        kb->nttBconvNtt(wide.rows(1, limbs_ + 1), table_ptrs_, bc,
+                        out_ptrs, rows);
+        expectIdentical(wide_before, wide);
+        for (size_t i = 0; i < nc; ++i) {
+            for (size_t c = 0; c < degree_; ++c) {
+                ASSERT_EQ(ext.limb(2 * i)[c], want.limb(i)[c])
+                    << "row " << i << " coeff " << c;
+                ASSERT_EQ(ext.limb(2 * i + 1)[c],
+                          ext_before.limb(2 * i + 1)[c])
+                    << "guard row " << i << " coeff " << c;
+            }
+        }
+    }
 }
 
 TEST_P(BackendParityTest, EvkMulAccParity)
@@ -280,22 +356,19 @@ TEST_P(BackendParityTest, EvkMulAccParity)
         std::copy(va.begin(), va.end(), evk_a.limb(l));
     }
 
-    RnsPoly bs(degree_, nq + np, Rep::Eval), as(degree_, nq + np,
-                                                Rep::Eval);
-    RnsPoly bp(degree_, nq + np, Rep::Eval), ap(degree_, nq + np,
-                                                Rep::Eval);
-    RnsPoly bv(degree_, nq + np, Rep::Eval), av(degree_, nq + np,
-                                                Rep::Eval);
+    RnsPoly want_b(degree_, nq + np, Rep::Eval);
+    RnsPoly want_a(degree_, nq + np, Rep::Eval);
     scalar_->evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli,
-                       bs, as);
-    parallel_->evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli,
-                         bp, ap);
-    simd_->evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli,
-                     bv, av);
-    expectIdentical(bs, bp);
-    expectIdentical(as, ap);
-    expectIdentical(bs, bv);
-    expectIdentical(as, av);
+                       want_b, want_a);
+    for (auto &kb : engines_) {
+        SCOPED_TRACE(engineLabel(*kb));
+        RnsPoly got_b(degree_, nq + np, Rep::Eval);
+        RnsPoly got_a(degree_, nq + np, Rep::Eval);
+        kb->evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli,
+                      got_b, got_a);
+        expectIdentical(want_b, got_b);
+        expectIdentical(want_a, got_a);
+    }
 }
 
 TEST_P(BackendParityTest, StatsRecordWhatExecuted)
@@ -304,8 +377,11 @@ TEST_P(BackendParityTest, StatsRecordWhatExecuted)
     auto b = randomPoly(Rep::Eval, 13);
     RnsPoly r(degree_, limbs_, Rep::Eval);
 
-    for (KernelBackend *kb :
-         {scalar_.get(), parallel_.get(), simd_.get()}) {
+    std::vector<KernelBackend *> all{scalar_.get()};
+    for (auto &kb : engines_)
+        all.push_back(kb.get());
+    for (KernelBackend *kb : all) {
+        SCOPED_TRACE(engineLabel(*kb));
         kb->resetStats();
         kb->mulEval(a, b, moduli_, r);
         // stats() returns a merged snapshot by value; keep it alive
@@ -321,10 +397,30 @@ TEST_P(BackendParityTest, StatsRecordWhatExecuted)
     }
 }
 
+/** Shapes below the grain run serially on every engine; shapes above
+ *  it fan out over the pool (whole limbs, and BConv tiles). */
+const Shape kShapes[] = {{256, 3},  {512, 6},   {1024, 8},
+                         {2048, 4}, {2048, 12}, {4096, 6}};
+
+TEST(BackendGrain, ParityShapesStraddleTheGrain)
+{
+    size_t below = 0, above = 0;
+    for (const Shape &s : kShapes)
+        (s.degree * s.limbs < KernelBackend::kGrainWords ? below : above)++;
+    EXPECT_GE(below, 2u);
+    EXPECT_GE(above, 2u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BackendParityTest,
-    ::testing::Values(Shape{256, 3}, Shape{512, 6}, Shape{1024, 8},
-                      Shape{2048, 4}));
+    ::testing::Combine(::testing::ValuesIn(kShapes),
+                       ::testing::Values(size_t(1), size_t(2), size_t(4))),
+    [](const auto &info) {
+        const Shape &s = std::get<0>(info.param);
+        return "N" + std::to_string(s.degree) + "_L" +
+               std::to_string(s.limbs) + "_T" +
+               std::to_string(std::get<1>(info.param));
+    });
 
 // ---------------------------------------------------------------------------
 // Lazy-reduction vs strict reference kernels
@@ -449,12 +545,13 @@ TEST(LazyStrictParityTest, FusedBconvMatchesTwoStage)
 /**
  * Kernels drawing outputs and scratch from a deliberately polluted
  * pool must produce bit-identical results to a backend with an empty
- * pool, on both engines — stale buffer words must never leak into
- * results.
+ * pool, on every engine — stale buffer words must never leak into
+ * results. The shape is above the grain, so the 4-thread engines write
+ * the pooled buffers from several threads.
  */
 TEST(LazyStrictParityTest, PooledVersusFreshBitEquality)
 {
-    const size_t degree = 512;
+    const size_t degree = 4096;
     const size_t limbs = 6;
     auto qs = generatePrimes(40, limbs, degree);
     std::vector<Modulus> moduli;
@@ -486,10 +583,9 @@ TEST(LazyStrictParityTest, PooledVersusFreshBitEquality)
         std::copy(v.begin(), v.end(), in.limb(l));
     }
 
-    for (BackendKind kind :
-         {BackendKind::Scalar, BackendKind::Parallel}) {
-        SCOPED_TRACE(kind == BackendKind::Scalar ? "scalar"
-                                                 : "parallel");
+    for (BackendKind kind : {BackendKind::Scalar, BackendKind::Parallel,
+                             BackendKind::Simd}) {
+        SCOPED_TRACE(backendKindName(kind));
         auto fresh = makeKernelBackend(kind, 4);
         auto pooled = makeKernelBackend(kind, 4);
 
@@ -544,26 +640,22 @@ TEST(LazyStrictParityTest, PooledVersusFreshBitEquality)
 }
 
 // ---------------------------------------------------------------------------
-// SimdBackend tier sweep
+// Kernel-table tier sweep, per thread count
 // ---------------------------------------------------------------------------
 
-/**
- * A SimdBackend capped at exactly @p tier, or nullptr when the host
- * cannot run it (the backend clamps the request to what CPUID reports,
- * so a request coming back at a lower tier means "unavailable" — the
- * caller should GTEST_SKIP, keeping the suite green on any machine).
- */
-std::unique_ptr<SimdBackend>
-simdAtTier(SimdTier tier)
+class SimdTierParityTest
+    : public ::testing::TestWithParam<std::tuple<SimdTier, size_t>>
 {
-    auto be = std::make_unique<SimdBackend>(tier);
-    if (be->tier() != tier)
-        return nullptr;
-    return be;
-}
+  protected:
+    void SetUp() override
+    {
+        simd_ = engineAt(std::get<0>(GetParam()), std::get<1>(GetParam()));
+        if (!simd_)
+            GTEST_SKIP() << "tier not available on this host";
+    }
 
-class SimdTierParityTest : public ::testing::TestWithParam<SimdTier>
-{
+    std::unique_ptr<KernelBackend> simd_;
+    KernelBackend scalar_;
 };
 
 /**
@@ -575,39 +667,44 @@ class SimdTierParityTest : public ::testing::TestWithParam<SimdTier>
  */
 TEST_P(SimdTierParityTest, NttParityAcrossPrimeWidths)
 {
-    auto simd = simdAtTier(GetParam());
-    if (!simd)
-        GTEST_SKIP() << "tier not available on this host";
-    ScalarBackend scalar;
-
+    // Every width's primes are limbs of one poly: 14 limbs of 2048
+    // words, above the grain, so multi-threaded engines fan out.
     const size_t degree = 2048;
-    u64 seed = 200;
+    std::vector<u64> qs;
     for (int width : {30, 40, 50, 55, 59, 60, 61}) {
-        SCOPED_TRACE("width " + std::to_string(width));
-        auto qs = generatePrimes(width, 2, degree);
-        for (u64 q : qs) {
-            NttTables tables(degree, Modulus(q));
-            std::vector<const NttTables *> tp{&tables};
-            Rng rng(seed++);
-            RnsPoly p(degree, 1, Rep::Coeff);
-            auto v = rng.uniformVector(degree, q);
-            std::copy(v.begin(), v.end(), p.limb(0));
-            RnsPoly ps = p;
+        for (u64 q : generatePrimes(width, 2, degree))
+            qs.push_back(q);
+    }
+    std::vector<NttTables> tables;
+    for (u64 q : qs)
+        tables.emplace_back(degree, Modulus(q));
+    std::vector<const NttTables *> tp;
+    for (auto &t : tables)
+        tp.push_back(&t);
+    Rng rng(200);
+    RnsPoly p(degree, qs.size(), Rep::Coeff);
+    for (size_t l = 0; l < qs.size(); ++l) {
+        auto v = rng.uniformVector(degree, qs[l]);
+        std::copy(v.begin(), v.end(), p.limb(l));
+    }
+    const RnsPoly original = p;
+    RnsPoly ps = p;
 
-            simd->nttForward(p, tp);
-            scalar.nttForward(ps, tp);
-            for (size_t i = 0; i < degree; ++i)
-                ASSERT_EQ(p.limb(0)[i], ps.limb(0)[i])
-                    << "forward q=" << q << " i=" << i;
+    simd_->nttForward(p, tp);
+    scalar_.nttForward(ps, tp);
+    for (size_t l = 0; l < qs.size(); ++l)
+        for (size_t i = 0; i < degree; ++i)
+            ASSERT_EQ(p.limb(l)[i], ps.limb(l)[i])
+                << "forward q=" << qs[l] << " i=" << i;
 
-            simd->nttInverse(p, tp);
-            scalar.nttInverse(ps, tp);
-            for (size_t i = 0; i < degree; ++i) {
-                ASSERT_EQ(p.limb(0)[i], ps.limb(0)[i])
-                    << "inverse q=" << q << " i=" << i;
-                ASSERT_EQ(p.limb(0)[i], v[i])
-                    << "round trip q=" << q << " i=" << i;
-            }
+    simd_->nttInverse(p, tp);
+    scalar_.nttInverse(ps, tp);
+    for (size_t l = 0; l < qs.size(); ++l) {
+        for (size_t i = 0; i < degree; ++i) {
+            ASSERT_EQ(p.limb(l)[i], ps.limb(l)[i])
+                << "inverse q=" << qs[l] << " i=" << i;
+            ASSERT_EQ(p.limb(l)[i], original.limb(l)[i])
+                << "round trip q=" << qs[l] << " i=" << i;
         }
     }
 }
@@ -617,11 +714,6 @@ TEST_P(SimdTierParityTest, NttParityAcrossPrimeWidths)
  *  (shuffle) paths and the fused stage pairs all get exercised. */
 TEST_P(SimdTierParityTest, NttParityTinyDegrees)
 {
-    auto simd = simdAtTier(GetParam());
-    if (!simd)
-        GTEST_SKIP() << "tier not available on this host";
-    ScalarBackend scalar;
-
     u64 seed = 300;
     for (size_t degree : {size_t(2), size_t(4), size_t(8), size_t(16),
                           size_t(32), size_t(64), size_t(4096)}) {
@@ -635,12 +727,12 @@ TEST_P(SimdTierParityTest, NttParityTinyDegrees)
         std::copy(v.begin(), v.end(), p.limb(0));
         RnsPoly ps = p;
 
-        simd->nttForward(p, tp);
-        scalar.nttForward(ps, tp);
+        simd_->nttForward(p, tp);
+        scalar_.nttForward(ps, tp);
         for (size_t i = 0; i < degree; ++i)
             ASSERT_EQ(p.limb(0)[i], ps.limb(0)[i]) << "forward i=" << i;
-        simd->nttInverse(p, tp);
-        scalar.nttInverse(ps, tp);
+        simd_->nttInverse(p, tp);
+        scalar_.nttInverse(ps, tp);
         for (size_t i = 0; i < degree; ++i) {
             ASSERT_EQ(p.limb(0)[i], ps.limb(0)[i]) << "inverse i=" << i;
             ASSERT_EQ(p.limb(0)[i], v[i]) << "round trip i=" << i;
@@ -648,100 +740,96 @@ TEST_P(SimdTierParityTest, NttParityTinyDegrees)
     }
 }
 
-/** Fused BConv tiles across odd base sizes (tile remainders) per tier. */
+/** Fused BConv tiles across odd base sizes (tile remainders) per tier,
+ *  below (N=256) and above (N=4096) the grain. */
 TEST_P(SimdTierParityTest, BconvParityOddBases)
 {
-    auto simd = simdAtTier(GetParam());
-    if (!simd)
-        GTEST_SKIP() << "tier not available on this host";
-    ScalarBackend scalar;
-
-    const size_t degree = 256;
     u64 seed = 400;
-    for (size_t nb : {size_t(1), size_t(3), size_t(7)}) {
-        SCOPED_TRACE("nb " + std::to_string(nb));
-        auto pb = generatePrimes(45, nb, degree);
-        auto pc = generatePrimes(50, 3, degree, pb);
-        std::vector<Modulus> mb, mc;
-        for (u64 p : pb)
-            mb.emplace_back(p);
-        for (u64 p : pc)
-            mc.emplace_back(p);
-        BaseConverter bc(mb, mc);
+    for (size_t degree : {size_t(256), size_t(4096)}) {
+        for (size_t nb : {size_t(1), size_t(3), size_t(7)}) {
+            SCOPED_TRACE("N " + std::to_string(degree) + " nb " +
+                         std::to_string(nb));
+            auto pb = generatePrimes(45, nb, degree);
+            auto pc = generatePrimes(50, 3, degree, pb);
+            std::vector<Modulus> mb, mc;
+            for (u64 p : pb)
+                mb.emplace_back(p);
+            for (u64 p : pc)
+                mc.emplace_back(p);
+            BaseConverter bc(mb, mc);
 
-        Rng rng(seed++);
-        RnsPoly in(degree, nb, Rep::Coeff);
-        for (size_t l = 0; l < nb; ++l) {
-            auto v = rng.uniformVector(degree, pb[l]);
-            std::copy(v.begin(), v.end(), in.limb(l));
-        }
-        RnsPoly rs = scalar.bconv(bc, in);
-        RnsPoly rv = simd->bconv(bc, in);
-        ASSERT_EQ(rs.numLimbs(), rv.numLimbs());
-        for (size_t l = 0; l < rs.numLimbs(); ++l) {
-            for (size_t c = 0; c < degree; ++c)
-                ASSERT_EQ(rs.limb(l)[c], rv.limb(l)[c])
-                    << "limb " << l << " coeff " << c;
+            Rng rng(seed++);
+            RnsPoly in(degree, nb, Rep::Coeff);
+            for (size_t l = 0; l < nb; ++l) {
+                auto v = rng.uniformVector(degree, pb[l]);
+                std::copy(v.begin(), v.end(), in.limb(l));
+            }
+            RnsPoly rs = scalar_.bconv(bc, in);
+            RnsPoly rv = simd_->bconv(bc, in);
+            ASSERT_EQ(rs.numLimbs(), rv.numLimbs());
+            for (size_t l = 0; l < rs.numLimbs(); ++l) {
+                for (size_t c = 0; c < degree; ++c)
+                    ASSERT_EQ(rs.limb(l)[c], rv.limb(l)[c])
+                        << "limb " << l << " coeff " << c;
+            }
         }
     }
 }
 
-/** evk MAC digit path per tier, including the full_nq > nq tail. */
+/** evk MAC digit path per tier, including the full_nq > nq tail,
+ *  below (N=256) and above (N=4096) the grain. */
 TEST_P(SimdTierParityTest, EvkMulAccParityPerTier)
 {
-    auto simd = simdAtTier(GetParam());
-    if (!simd)
-        GTEST_SKIP() << "tier not available on this host";
-    ScalarBackend scalar;
-
-    const size_t degree = 256;
     const size_t np = 2, nq = 3, full_nq = nq + 1;
-    auto qs = generatePrimes(40, full_nq + np, degree);
-    std::vector<Modulus> key_moduli;
-    for (u64 q : qs)
-        key_moduli.emplace_back(q);
+    for (size_t degree : {size_t(256), size_t(4096)}) {
+        SCOPED_TRACE("N " + std::to_string(degree));
+        auto qs = generatePrimes(40, full_nq + np, degree);
+        std::vector<Modulus> key_moduli;
+        for (u64 q : qs)
+            key_moduli.emplace_back(q);
 
-    Rng rng(500);
-    RnsPoly digit(degree, nq + np, Rep::Eval);
-    RnsPoly evk_b(degree, full_nq + np, Rep::Eval);
-    RnsPoly evk_a(degree, full_nq + np, Rep::Eval);
-    for (size_t l = 0; l < nq + np; ++l) {
-        auto v = rng.uniformVector(degree, key_moduli[l].value());
-        std::copy(v.begin(), v.end(), digit.limb(l));
-    }
-    for (size_t l = 0; l < full_nq + np; ++l) {
-        auto vb = rng.uniformVector(degree, key_moduli[l].value());
-        auto va = rng.uniformVector(degree, key_moduli[l].value());
-        std::copy(vb.begin(), vb.end(), evk_b.limb(l));
-        std::copy(va.begin(), va.end(), evk_a.limb(l));
-    }
+        Rng rng(500);
+        RnsPoly digit(degree, nq + np, Rep::Eval);
+        RnsPoly evk_b(degree, full_nq + np, Rep::Eval);
+        RnsPoly evk_a(degree, full_nq + np, Rep::Eval);
+        for (size_t l = 0; l < nq + np; ++l) {
+            auto v = rng.uniformVector(degree, key_moduli[l].value());
+            std::copy(v.begin(), v.end(), digit.limb(l));
+        }
+        for (size_t l = 0; l < full_nq + np; ++l) {
+            auto vb = rng.uniformVector(degree, key_moduli[l].value());
+            auto va = rng.uniformVector(degree, key_moduli[l].value());
+            std::copy(vb.begin(), vb.end(), evk_b.limb(l));
+            std::copy(va.begin(), va.end(), evk_a.limb(l));
+        }
 
-    RnsPoly bs(degree, nq + np, Rep::Eval), as(degree, nq + np,
-                                               Rep::Eval);
-    RnsPoly bv(degree, nq + np, Rep::Eval), av(degree, nq + np,
-                                               Rep::Eval);
-    scalar.evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli, bs,
-                     as);
-    simd->evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli, bv,
-                    av);
-    for (size_t l = 0; l < nq + np; ++l) {
-        for (size_t c = 0; c < degree; ++c) {
-            ASSERT_EQ(bs.limb(l)[c], bv.limb(l)[c])
-                << "b limb " << l << " coeff " << c;
-            ASSERT_EQ(as.limb(l)[c], av.limb(l)[c])
-                << "a limb " << l << " coeff " << c;
+        RnsPoly bs(degree, nq + np, Rep::Eval);
+        RnsPoly as(degree, nq + np, Rep::Eval);
+        RnsPoly bv(degree, nq + np, Rep::Eval);
+        RnsPoly av(degree, nq + np, Rep::Eval);
+        scalar_.evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli,
+                          bs, as);
+        simd_->evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli,
+                         bv, av);
+        for (size_t l = 0; l < nq + np; ++l) {
+            for (size_t c = 0; c < degree; ++c) {
+                ASSERT_EQ(bs.limb(l)[c], bv.limb(l)[c])
+                    << "b limb " << l << " coeff " << c;
+                ASSERT_EQ(as.limb(l)[c], av.limb(l)[c])
+                    << "a limb " << l << " coeff " << c;
+            }
         }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Tiers, SimdTierParityTest,
-                         ::testing::Values(SimdTier::Scalar,
-                                           SimdTier::Avx2,
-                                           SimdTier::Avx512),
-                         [](const auto &info) {
-                             return std::string(
-                                 simdTierName(info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Tiers, SimdTierParityTest,
+    ::testing::Combine(::testing::ValuesIn(kTiers),
+                       ::testing::Values(size_t(1), size_t(2), size_t(4))),
+    [](const auto &info) {
+        return std::string(simdTierName(std::get<0>(info.param))) +
+               "_T" + std::to_string(std::get<1>(info.param));
+    });
 
 } // namespace
 } // namespace ark

@@ -174,14 +174,14 @@ TEST(EnvConfig, SimdBackendClampsToHostAndStaysCorrect)
     RnsPoly ref(degree, 1, Rep::Coeff);
     auto v = rng.uniformVector(degree, qs[0]);
     std::copy(v.begin(), v.end(), ref.limb(0));
-    ScalarBackend scalar;
+    KernelBackend scalar;
     RnsPoly want = ref;
     scalar.nttForward(want, tp);
 
     for (SimdTier cap : {SimdTier::Scalar, SimdTier::Neon,
                          SimdTier::Avx2, SimdTier::Avx512}) {
         SCOPED_TRACE(simdTierName(cap));
-        SimdBackend be(cap);
+        KernelBackend be(BackendKind::Simd, 1, cap);
         EXPECT_LE(static_cast<int>(be.tier()), static_cast<int>(cap));
         EXPECT_LE(static_cast<int>(be.tier()),
                   static_cast<int>(detectSimdTier()));
@@ -194,7 +194,7 @@ TEST(EnvConfig, SimdBackendClampsToHostAndStaysCorrect)
     // The forced-fallback path spelled the way a user would: the env
     // caps the tier below what the backend asks for.
     setenv("ARK_SIMD_TIER", "scalar", 1);
-    SimdBackend forced(SimdTier::Avx512);
+    KernelBackend forced(BackendKind::Simd, 1, SimdTier::Avx512);
     EXPECT_EQ(forced.tier(), SimdTier::Scalar);
     unsetenv("ARK_SIMD_TIER");
     RnsPoly got = ref;

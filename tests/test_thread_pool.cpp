@@ -8,6 +8,9 @@
  */
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -54,7 +57,7 @@ TEST(ThreadPool, NestedSubmitsOnSamePool)
 {
     // A job may call parallelFor on its own pool: the nested waiter
     // helps drain instead of blocking, so this must complete even on
-    // a single-worker pool.
+    // a caller-only pool (1) and a single-worker pool (2).
     for (size_t workers : {size_t(1), size_t(2), size_t(4)}) {
         ThreadPool pool(workers);
         std::atomic<size_t> inner_runs{0};
@@ -80,24 +83,27 @@ TEST(ThreadPool, TriplyNestedSubmits)
 
 TEST(ThreadPool, ExceptionFromTaskPropagatesToCaller)
 {
-    ThreadPool pool(3);
-    std::vector<std::atomic<int>> hits(16);
-    EXPECT_THROW(pool.parallelFor(16,
-                                  [&](size_t i) {
-                                      hits[i].fetch_add(1);
-                                      if (i == 5)
-                                          throw std::runtime_error(
-                                              "task 5 failed");
-                                  }),
-                 std::runtime_error);
-    // Every index still ran (the batch drains before rethrowing).
-    for (size_t i = 0; i < hits.size(); ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    // Caller-only (1) and worker-backed (3) pools share the contract.
+    for (size_t n : {size_t(1), size_t(3)}) {
+        ThreadPool pool(n);
+        std::vector<std::atomic<int>> hits(16);
+        EXPECT_THROW(pool.parallelFor(16,
+                                      [&](size_t i) {
+                                          hits[i].fetch_add(1);
+                                          if (i == 5)
+                                              throw std::runtime_error(
+                                                  "task 5 failed");
+                                      }),
+                     std::runtime_error);
+        // Every index still ran (the batch drains before rethrowing).
+        for (size_t i = 0; i < hits.size(); ++i)
+            EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 
-    // The pool stays usable after an exception.
-    std::atomic<size_t> after{0};
-    pool.parallelFor(32, [&](size_t) { after.fetch_add(1); });
-    EXPECT_EQ(after.load(), 32u);
+        // The pool stays usable after an exception.
+        std::atomic<size_t> after{0};
+        pool.parallelFor(32, [&](size_t) { after.fetch_add(1); });
+        EXPECT_EQ(after.load(), 32u);
+    }
 }
 
 TEST(ThreadPool, ExceptionMessageSurvives)
@@ -167,6 +173,38 @@ TEST(ThreadPool, RapidCreateDestroy)
 TEST(ThreadPool, DefaultThreadsIsPositive)
 {
     EXPECT_GE(ThreadPool::defaultThreads(), 1u);
+    EXPECT_EQ(ThreadPool().threads(), ThreadPool::defaultThreads());
+}
+
+TEST(ThreadPool, ThreadCountIncludesTheCaller)
+{
+    // ThreadPool(n) applies exactly n threads to a batch: n - 1
+    // workers plus the submitting thread, never one more.
+    for (size_t n : {size_t(1), size_t(2), size_t(4)}) {
+        ThreadPool pool(n);
+        EXPECT_EQ(pool.threads(), n);
+        std::mutex m;
+        std::set<std::thread::id> seen;
+        std::atomic<size_t> inside{0};
+        std::atomic<size_t> peak{0};
+        pool.parallelFor(64, [&](size_t) {
+            const size_t now = inside.fetch_add(1) + 1;
+            size_t p = peak.load();
+            while (now > p && !peak.compare_exchange_weak(p, now)) {
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            {
+                std::lock_guard<std::mutex> lk(m);
+                seen.insert(std::this_thread::get_id());
+            }
+            inside.fetch_sub(1);
+        });
+        EXPECT_LE(seen.size(), n) << n << " threads";
+        EXPECT_LE(peak.load(), n) << n << " threads";
+        if (n == 1) {
+            EXPECT_EQ(seen.count(std::this_thread::get_id()), 1u);
+        }
+    }
 }
 
 } // namespace
