@@ -38,27 +38,27 @@ PlaintextStore::get(size_t idx, int level) const
     pt.scale = e.scale;
     pt.level = level;
 
+    const size_t n = ctx_.degree();
+    const size_t limbs = static_cast<size_t>(level) + 1;
     if (mode_ == PlaintextMode::Full) {
         ARK_ASSERT(level <= e.level,
                    "full-mode plaintext stored at a lower level");
-        pt.poly = e.poly;
-        pt.poly.resizeLimbs(level + 1); // ModDown is free limb dropping
+        // ModDown is free limb dropping: copy only the limbs in use.
+        pt.poly = kb.pool().acquire(n, limbs, e.poly.rep());
+        kb.copyLimbs(e.poly, 0, pt.poly, 0, limbs);
         // Full-mode plaintexts stream every limb from storage.
-        kb.notePlaintextWords(static_cast<u64>(level + 1) *
-                              ctx_.degree());
+        kb.notePlaintextWords(static_cast<u64>(limbs) * n);
         return pt;
     }
 
     // OF-Limb extension (Eq. 12): center the q0 residue and reduce it
-    // into every current limb, then NTT each generated limb. Only the
-    // stored q0 limb streams from storage; the rest is runtime data
-    // generation.
-    const size_t n = ctx_.degree();
+    // into every current limb, NTT-ing each generated limb in the same
+    // job. Only the stored q0 limb streams from storage; the rest is
+    // runtime data generation. Pooled: every word is written.
     kb.notePlaintextWords(n);
-    std::vector<u64> src(e.poly.limb(0), e.poly.limb(0) + n);
-    pt.poly = RnsPoly(n, level + 1, Rep::Coeff);
-    kb.limbEmbed(src, ctx_.qModuli()[0], ctx_.qModuli(), pt.poly);
-    kb.nttForward(pt.poly, ctx_.qTables());
+    pt.poly = kb.pool().acquire(n, limbs, Rep::Eval);
+    kb.embedNtt(e.poly.limb(0), ctx_.qModuli()[0], ctx_.qTablePtrs(limbs),
+                pt.poly);
     return pt;
 }
 

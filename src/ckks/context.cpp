@@ -124,6 +124,15 @@ CkksContext::CkksContext(CkksParams params)
             q_mod_q_[j * nq + i] = q_moduli_[j].value() %
                                    q_moduli_[i].value();
     }
+
+    // Let each pool stripe keep one top-level key switch's temporaries
+    // — the dnum extended digits, two accumulators, the tensor's three
+    // and ModDown's two level-sized polys, and the alpha-limb BConv
+    // scratch — so steady-state ops recycle all of them instead of
+    // returning most to the heap and faulting them in again.
+    const size_t ext = nq + static_cast<size_t>(a);
+    const size_t per_key = static_cast<size_t>(params_.dnum) + 2;
+    backend_->pool().reserve(n * (per_key * ext + 5 * nq + a), per_key);
 }
 
 std::vector<Modulus>

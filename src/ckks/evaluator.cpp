@@ -10,6 +10,45 @@
 
 namespace ark {
 
+namespace {
+
+/**
+ * A ciphertext with @p c 's scale, slot count and poly shapes whose b
+ * and a come from the pool with unspecified words: the caller
+ * overwrites every one, so the input is never deep-copied first.
+ *
+ * The key-switching ops (HMult, HRot, hoisted rotations) take their
+ * result here before any temporary. A result leaves the pool for good
+ * (its holder frees it to the heap), so every op must take a few fresh
+ * buffers from the heap. Taking the result first hands it a buffer the
+ * pool already holds and makes the fresh ones temporaries, which the
+ * pool keeps. The fresh buffers then reuse the heap chunks holders
+ * freed with earlier results, still mapped, rather than growing the
+ * heap into pages the allocator returned to the OS and faulting them
+ * in again.
+ */
+Ciphertext
+pooledLike(const Ciphertext &c, PolyPool &pool)
+{
+    Ciphertext r;
+    r.scale = c.scale;
+    r.slots = c.slots;
+    r.b = pool.acquire(c.b.degree(), c.b.numLimbs(), c.b.rep());
+    r.a = pool.acquire(c.a.degree(), c.a.numLimbs(), c.a.rep());
+    return r;
+}
+
+/** A pooled copy of the first @p limbs limbs of @p src. */
+RnsPoly
+pooledCopy(KernelBackend &kb, const RnsPoly &src, size_t limbs)
+{
+    RnsPoly p = kb.pool().acquire(src.degree(), limbs, src.rep());
+    kb.copyLimbs(src, 0, p, 0, limbs);
+    return p;
+}
+
+} // namespace
+
 CkksEvaluator::CkksEvaluator(const CkksContext &ctx) : ctx_(ctx) {}
 
 void
@@ -28,7 +67,7 @@ CkksEvaluator::add(const Ciphertext &c1, const Ciphertext &c2) const
     checkCompatible(c1, c2);
     const auto moduli = ctx_.levelModuli(c1.level());
     KernelBackend &kb = ctx_.backend();
-    Ciphertext r = c1;
+    Ciphertext r = pooledLike(c1, kb.pool());
     kb.add(c1.b, c2.b, moduli, r.b);
     kb.add(c1.a, c2.a, moduli, r.a);
     return r;
@@ -40,7 +79,7 @@ CkksEvaluator::sub(const Ciphertext &c1, const Ciphertext &c2) const
     checkCompatible(c1, c2);
     const auto moduli = ctx_.levelModuli(c1.level());
     KernelBackend &kb = ctx_.backend();
-    Ciphertext r = c1;
+    Ciphertext r = pooledLike(c1, kb.pool());
     kb.sub(c1.b, c2.b, moduli, r.b);
     kb.sub(c1.a, c2.a, moduli, r.a);
     return r;
@@ -51,7 +90,7 @@ CkksEvaluator::negate(const Ciphertext &c) const
 {
     const auto moduli = ctx_.levelModuli(c.level());
     KernelBackend &kb = ctx_.backend();
-    Ciphertext r = c;
+    Ciphertext r = pooledLike(c, kb.pool());
     kb.neg(c.b, moduli, r.b);
     kb.neg(c.a, moduli, r.a);
     return r;
@@ -65,8 +104,10 @@ CkksEvaluator::addPlain(const Ciphertext &c, const Plaintext &p) const
     ARK_ASSERT(ratio > 1.0 - 1e-6 && ratio < 1.0 + 1e-6,
                "plaintext scale mismatch");
     const auto moduli = ctx_.levelModuli(c.level());
-    Ciphertext r = c;
-    ctx_.backend().add(c.b, p.poly, moduli, r.b);
+    KernelBackend &kb = ctx_.backend();
+    Ciphertext r = pooledLike(c, kb.pool());
+    kb.add(c.b, p.poly, moduli, r.b);
+    kb.copyLimbs(c.a, 0, r.a, 0, c.a.numLimbs());
     return r;
 }
 
@@ -75,8 +116,10 @@ CkksEvaluator::subPlain(const Ciphertext &c, const Plaintext &p) const
 {
     ARK_ASSERT(c.level() == p.level, "plaintext level mismatch");
     const auto moduli = ctx_.levelModuli(c.level());
-    Ciphertext r = c;
-    ctx_.backend().sub(c.b, p.poly, moduli, r.b);
+    KernelBackend &kb = ctx_.backend();
+    Ciphertext r = pooledLike(c, kb.pool());
+    kb.sub(c.b, p.poly, moduli, r.b);
+    kb.copyLimbs(c.a, 0, r.a, 0, c.a.numLimbs());
     return r;
 }
 
@@ -86,7 +129,7 @@ CkksEvaluator::mulPlain(const Ciphertext &c, const Plaintext &p) const
     ARK_ASSERT(c.level() == p.level, "plaintext level mismatch");
     const auto moduli = ctx_.levelModuli(c.level());
     KernelBackend &kb = ctx_.backend();
-    Ciphertext r = c;
+    Ciphertext r = pooledLike(c, kb.pool());
     kb.mulEval(c.b, p.poly, moduli, r.b);
     kb.mulEval(c.a, p.poly, moduli, r.a);
     r.scale = c.scale * p.scale;
@@ -106,8 +149,10 @@ CkksEvaluator::addScalar(const Ciphertext &c, double value) const
         roundToI128(static_cast<long double>(value) * c.scale);
     for (size_t l = 0; l < moduli.size(); ++l)
         residues[l] = reduceI128(k, moduli[l].value());
-    Ciphertext r = c;
-    ctx_.backend().addScalar(c.b, residues, moduli, r.b);
+    KernelBackend &kb = ctx_.backend();
+    Ciphertext r = pooledLike(c, kb.pool());
+    kb.addScalar(c.b, residues, moduli, r.b);
+    kb.copyLimbs(c.a, 0, r.a, 0, c.a.numLimbs());
     return r;
 }
 
@@ -123,7 +168,7 @@ CkksEvaluator::mulScalar(const Ciphertext &c, double value,
     for (size_t l = 0; l < moduli.size(); ++l)
         residues[l] = reduceI128(k, moduli[l].value());
     KernelBackend &kb = ctx_.backend();
-    Ciphertext r = c;
+    Ciphertext r = pooledLike(c, kb.pool());
     kb.mulScalar(c.b, residues, moduli, r.b);
     kb.mulScalar(c.a, residues, moduli, r.a);
     r.scale = c.scale * scale;
@@ -141,15 +186,18 @@ CkksEvaluator::mulByI(const Ciphertext &c) const
     KernelBackend &kb = ctx_.backend();
     PolyPool &pool = kb.pool();
     auto shift = [&](const RnsPoly &src) {
-        RnsPoly p = src;
+        RnsPoly p = pooledCopy(kb, src, src.numLimbs());
         kb.nttInverse(p, ctx_.qTables());
         // Pooled: monomialMul writes every output position.
         RnsPoly out = pool.acquire(p.degree(), p.numLimbs(), Rep::Coeff);
         kb.monomialMul(p, half, moduli, out);
+        pool.release(std::move(p));
         kb.nttForward(out, ctx_.qTables());
         return out;
     };
-    Ciphertext r = c;
+    Ciphertext r;
+    r.slots = c.slots;
+    r.scale = c.scale;
     r.b = shift(c.b);
     r.a = shift(c.a);
     return r;
@@ -206,77 +254,114 @@ CkksEvaluator::decompose(const RnsPoly &d, int level) const
 RnsPoly
 CkksEvaluator::modDownByP(const RnsPoly &extended, int level) const
 {
+    RnsPoly out = ctx_.backend().pool().acquire(
+        ctx_.degree(), static_cast<size_t>(level) + 1, Rep::Eval);
+    modDownInto(extended, level, nullptr, out);
+    return out;
+}
+
+void
+CkksEvaluator::modDownInto(const RnsPoly &extended, int level,
+                           const RnsPoly *addend, RnsPoly &out) const
+{
     ARK_ASSERT(extended.rep() == Rep::Eval, "ModDown expects Eval rep");
-    const size_t n = ctx_.degree();
     const size_t nq = static_cast<size_t>(level) + 1;
     const size_t np = ctx_.pModuli().size();
     ARK_ASSERT(extended.numLimbs() == nq + np, "not an extended poly");
-    KernelBackend &kb = ctx_.backend();
-    PolyPool &pool = kb.pool();
+    ARK_ASSERT(addend == nullptr || (addend->numLimbs() == nq &&
+                                     addend->rep() == Rep::Eval),
+               "addend must be a level-sized Eval-rep poly");
+    ARK_ASSERT(out.numLimbs() == nq && out.degree() == ctx_.degree(),
+               "ModDown output must be level-sized");
 
     // INTT the special limbs, BConv B -> C, NTT back (Alg. 2 line 6-7)
     // — the same fused digit path key switching uses, reading the P
-    // limbs in place from the tail of extended. Pooled temporaries:
-    // conv and out are written in full.
+    // limbs in place from the tail of extended — and, per limb right
+    // after its NTT, out = (extended - conv) * P^{-1} (+ addend).
     std::vector<const NttTables *> in_tables(np);
     for (size_t l = 0; l < np; ++l)
         in_tables[l] = &ctx_.pTables()[l];
-    RnsPoly conv = pool.acquire(n, nq, Rep::Eval);
-    kb.nttBconvNtt(extended.rows(nq, nq + np), in_tables,
-                   ctx_.modDownConverter(level), ctx_.qTablePtrs(nq),
-                   conv.mutableRows(0, nq));
-
-    // out = (extended - conv) * P^{-1} limb-wise over the q limbs.
-    const auto moduli = ctx_.levelModuli(level);
-    std::vector<u64> pinv(nq);
+    KernelBackend::SubMulTail tail;
+    tail.minuend = extended.rows(0, nq);
+    tail.scalars.resize(nq);
     for (size_t l = 0; l < nq; ++l)
-        pinv[l] = ctx_.pInvModQ(l);
-    RnsPoly out = pool.acquire(n, nq, Rep::Eval);
-    kb.subMulScalar(extended, conv, pinv, moduli, out);
-    pool.release(std::move(conv));
-    return out;
+        tail.scalars[l] = ctx_.pInvModQ(l);
+    if (addend != nullptr)
+        tail.addend = addend->rows(0, nq);
+    ctx_.backend().nttBconvNtt(extended.rows(nq, nq + np), in_tables,
+                               ctx_.modDownConverter(level),
+                               ctx_.qTablePtrs(nq), out.mutableRows(0, nq),
+                               &tail);
+    out.setRep(Rep::Eval);
 }
 
 std::pair<RnsPoly, RnsPoly>
 CkksEvaluator::keySwitchDigits(const std::vector<RnsPoly> &digits,
                                const EvalKey &evk, int level) const
 {
+    PolyPool &pool = ctx_.backend().pool();
+    const size_t nq = static_cast<size_t>(level) + 1;
+    RnsPoly b = pool.acquire(ctx_.degree(), nq, Rep::Eval);
+    RnsPoly a = pool.acquire(ctx_.degree(), nq, Rep::Eval);
+    keySwitchDigitsInto(digits, evk, level, nullptr, nullptr, b, a);
+    return {std::move(b), std::move(a)};
+}
+
+void
+CkksEvaluator::keySwitchDigitsInto(const std::vector<RnsPoly> &digits,
+                                   const EvalKey &evk, int level,
+                                   const RnsPoly *add_b,
+                                   const RnsPoly *add_a, RnsPoly &out_b,
+                                   RnsPoly &out_a) const
+{
     const size_t n = ctx_.degree();
     const size_t nq = static_cast<size_t>(level) + 1;
     const size_t np = ctx_.pModuli().size();
     const size_t full_nq = static_cast<size_t>(ctx_.maxLevel()) + 1;
-    ARK_ASSERT(digits.size() <=
-                   static_cast<size_t>(evk.numDigits()),
-               "more digits than the evk provides");
+    ARK_ASSERT(!digits.empty() &&
+                   digits.size() <= static_cast<size_t>(evk.numDigits()),
+               "need one to evk.numDigits() digits");
     KernelBackend &kb = ctx_.backend();
     PolyPool &pool = kb.pool();
 
-    // Pooled accumulators: evkMulAcc reads-modifies-writes, so these
-    // must start cleared (cleared through the executor).
-    RnsPoly acc_b = kb.acquireZeroed(n, nq + np, Rep::Eval);
-    RnsPoly acc_a = kb.acquireZeroed(n, nq + np, Rep::Eval);
+    // Pooled accumulators: the first digit's MAC overwrites them, the
+    // rest accumulate.
+    RnsPoly acc_b = pool.acquire(n, nq + np, Rep::Eval);
+    RnsPoly acc_a = pool.acquire(n, nq + np, Rep::Eval);
     const auto key_moduli = ctx_.keyModuli(level);
     for (size_t dig = 0; dig < digits.size(); ++dig) {
         kb.evkMulAcc(digits[dig], evk.b[dig], evk.a[dig], nq, full_nq,
-                     key_moduli, acc_b, acc_a);
+                     key_moduli, acc_b, acc_a, dig > 0);
     }
-    auto r = std::make_pair(modDownByP(acc_b, level),
-                            modDownByP(acc_a, level));
+    modDownInto(acc_b, level, add_b, out_b);
+    modDownInto(acc_a, level, add_a, out_a);
     pool.release(std::move(acc_b));
     pool.release(std::move(acc_a));
-    return r;
 }
 
 std::pair<RnsPoly, RnsPoly>
 CkksEvaluator::keySwitch(const RnsPoly &d, const EvalKey &evk,
                          int level) const
 {
+    PolyPool &pool = ctx_.backend().pool();
+    const size_t nq = static_cast<size_t>(level) + 1;
+    RnsPoly b = pool.acquire(ctx_.degree(), nq, Rep::Eval);
+    RnsPoly a = pool.acquire(ctx_.degree(), nq, Rep::Eval);
+    keySwitchInto(d, evk, level, nullptr, nullptr, b, a);
+    return {std::move(b), std::move(a)};
+}
+
+void
+CkksEvaluator::keySwitchInto(const RnsPoly &d, const EvalKey &evk,
+                             int level, const RnsPoly *add_b,
+                             const RnsPoly *add_a, RnsPoly &out_b,
+                             RnsPoly &out_a) const
+{
     auto digits = decompose(d, level);
-    auto r = keySwitchDigits(digits, evk, level);
+    keySwitchDigitsInto(digits, evk, level, add_b, add_a, out_b, out_a);
     PolyPool &pool = ctx_.backend().pool();
     for (auto &dig : digits)
         pool.release(std::move(dig));
-    return r;
 }
 
 Ciphertext
@@ -292,31 +377,22 @@ CkksEvaluator::mul(const Ciphertext &c1, const Ciphertext &c2,
     KernelBackend &kb = ctx_.backend();
     PolyPool &pool = kb.pool();
 
-    // Pooled degree-2 temporaries: each is fully written by its first
-    // mulEval before being read.
+    // The result before any temporary: see pooledLike().
+    Ciphertext r = pooledLike(c1, pool);
+    r.scale = c1.scale * c2.scale;
+
+    // Pooled degree-2 temporaries, all written by the tensor pass:
+    // d0 = b1*b2, d1 = a1*b2 + a2*b1, d2 = a1*a2.
     RnsPoly d0 = pool.acquire(n, nl, Rep::Eval);
     RnsPoly d1 = pool.acquire(n, nl, Rep::Eval);
     RnsPoly d2 = pool.acquire(n, nl, Rep::Eval);
-    kb.mulEval(c1.b, c2.b, moduli, d0);
-    kb.mulEval(c1.a, c2.a, moduli, d2);
-    // d1 = a1*b2 + a2*b1.
-    kb.mulEval(c1.a, c2.b, moduli, d1);
-    kb.mulAccEval(c2.a, c1.b, moduli, d1);
+    kb.tensor(c1.b, c1.a, c2.b, c2.a, moduli, d0, d1, d2);
 
-    auto [kb_poly, ka_poly] = keySwitch(d2, evk_mult, level);
-    pool.release(std::move(d2));
-
-    Ciphertext r;
-    r.slots = c1.slots;
-    r.scale = c1.scale * c2.scale;
-    r.b = pool.acquire(n, nl, Rep::Eval);
-    r.a = pool.acquire(n, nl, Rep::Eval);
-    kb.add(d0, kb_poly, moduli, r.b);
-    kb.add(d1, ka_poly, moduli, r.a);
+    // Relinearize d2; ModDown adds d0 and d1 to its outputs.
+    keySwitchInto(d2, evk_mult, level, &d0, &d1, r.b, r.a);
     pool.release(std::move(d0));
     pool.release(std::move(d1));
-    pool.release(std::move(kb_poly));
-    pool.release(std::move(ka_poly));
+    pool.release(std::move(d2));
     return r;
 }
 
@@ -331,31 +407,34 @@ CkksEvaluator::rescale(const Ciphertext &c) const
 {
     const int level = c.level();
     ARK_ASSERT(level >= 1, "cannot rescale at level 0");
-    const auto moduli = ctx_.levelModuli(level);
     const size_t n = ctx_.degree();
-    const Modulus &q_last = moduli.back();
+    const Modulus &q_last = ctx_.qModuli()[level];
     KernelBackend &kb = ctx_.backend();
-
-    std::vector<u64> inv(level);
-    for (int l = 0; l < level; ++l)
-        inv[l] = ctx_.qLastInvModQ(level, l);
-
     PolyPool &pool = kb.pool();
+
+    KernelBackend::SubMulTail tail;
+    tail.scalars.resize(level);
+    for (int l = 0; l < level; ++l)
+        tail.scalars[l] = ctx_.qLastInvModQ(level, l);
+
     auto drop = [&](const RnsPoly &src) {
-        // INTT the last limb, embed its centered residues into each
-        // remaining limb, and multiply by q_last^{-1} (floor division
-        // in RNS). Pooled temporaries: limbEmbed and subMulScalar
-        // write every word of tmp / out.
-        std::vector<u64> last(src.limb(level), src.limb(level) + n);
-        kb.nttInverseLimb(last.data(), ctx_.qTables()[level]);
-
-        RnsPoly tmp = pool.acquire(n, level, Rep::Coeff);
-        kb.limbEmbed(last, q_last, moduli, tmp);
-        kb.nttForward(tmp, ctx_.qTablePtrs(level));
-
-        RnsPoly out = pool.acquire(n, level, Rep::Eval);
-        kb.subMulScalar(src, tmp, inv, moduli, out);
-        pool.release(std::move(tmp));
+        // INTT the last limb, then per remaining limb: embed its
+        // centered residues, NTT, and out = (src - that) * q_last^{-1}
+        // (floor division in RNS). Pooled: every word is written.
+        RnsPoly last = pool.acquire(n, 1, Rep::Coeff);
+        kb.copyLimbs(src, level, last, 0, 1);
+        kb.nttInverseLimb(last.limb(0), ctx_.qTables()[level]);
+        tail.minuend = src.rows(0, level);
+        // Taken at the input's shape with the last limb dropped (the
+        // buffer keeps its size), so a rescaled result frees the same
+        // heap chunk size as the HMult and HRot results: the fresh
+        // buffers of the next ops fit the chunks callers freed (see
+        // pooledLike()).
+        RnsPoly out = pool.acquire(n, level + 1, Rep::Eval);
+        out.resizeLimbs(level);
+        kb.embedNtt(last.limb(0), q_last, ctx_.qTablePtrs(level), out,
+                    &tail);
+        pool.release(std::move(last));
         return out;
     };
 
@@ -371,9 +450,12 @@ Ciphertext
 CkksEvaluator::modDownTo(const Ciphertext &c, int level) const
 {
     ARK_ASSERT(level <= c.level(), "modDownTo cannot raise the level");
-    Ciphertext r = c;
-    r.b.resizeLimbs(level + 1);
-    r.a.resizeLimbs(level + 1);
+    KernelBackend &kb = ctx_.backend();
+    Ciphertext r;
+    r.slots = c.slots;
+    r.scale = c.scale;
+    r.b = pooledCopy(kb, c.b, level + 1);
+    r.a = pooledCopy(kb, c.a, level + 1);
     return r;
 }
 
@@ -387,19 +469,15 @@ CkksEvaluator::applyGalois(const Ciphertext &c, u64 galois_elt,
     KernelBackend &kbe = ctx_.backend();
     PolyPool &pool = kbe.pool();
 
+    // The result before any temporary: see pooledLike().
+    Ciphertext r = pooledLike(c, pool);
+
+    // Key-switch the rotated a; ModDown adds the rotated b to B'.
     RnsPoly b_rot = kbe.automorphism(am, c.b, moduli);
     RnsPoly a_rot = kbe.automorphism(am, c.a, moduli);
-    auto [kb, ka] = keySwitch(a_rot, evk, level);
+    keySwitchInto(a_rot, evk, level, &b_rot, nullptr, r.b, r.a);
     pool.release(std::move(a_rot));
-
-    Ciphertext r;
-    r.slots = c.slots;
-    r.scale = c.scale;
-    r.b = pool.acquire(ctx_.degree(), moduli.size(), Rep::Eval);
-    kbe.add(b_rot, kb, moduli, r.b);
     pool.release(std::move(b_rot));
-    pool.release(std::move(kb));
-    r.a = std::move(ka);
     return r;
 }
 
@@ -439,25 +517,20 @@ CkksEvaluator::rotateHoisted(const Ciphertext &c,
     for (size_t k = 0; k < rotations.size(); ++k) {
         const u64 g = galoisElt(rotations[k], ctx_.degree());
         const Automorphism &am = ctx_.automorphism(g);
+        // The result before any temporary: see pooledLike().
+        Ciphertext r = pooledLike(c, pool);
 
         std::vector<RnsPoly> rot_digits;
         rot_digits.reserve(digits.size());
         for (const auto &dig : digits)
             rot_digits.push_back(kbe.automorphism(am, dig, key_moduli));
 
-        auto [kb, ka] = keySwitchDigits(rot_digits, *evks[k], level);
+        RnsPoly b_rot = kbe.automorphism(am, c.b, moduli);
+        keySwitchDigitsInto(rot_digits, *evks[k], level, &b_rot, nullptr,
+                            r.b, r.a);
         for (auto &dig : rot_digits)
             pool.release(std::move(dig));
-        RnsPoly b_rot = kbe.automorphism(am, c.b, moduli);
-
-        Ciphertext r;
-        r.slots = c.slots;
-        r.scale = c.scale;
-        r.b = pool.acquire(ctx_.degree(), moduli.size(), Rep::Eval);
-        kbe.add(b_rot, kb, moduli, r.b);
         pool.release(std::move(b_rot));
-        pool.release(std::move(kb));
-        r.a = std::move(ka);
         out.push_back(std::move(r));
     }
     for (auto &dig : digits)
@@ -470,20 +543,21 @@ CkksEvaluator::modRaise(const Ciphertext &c) const
 {
     ARK_ASSERT(c.level() == 0, "ModRaise expects a level-0 ciphertext");
     const int L = ctx_.maxLevel();
-    const auto moduli = ctx_.levelModuli(L);
     const size_t n = ctx_.degree();
     const Modulus &q0 = ctx_.qModuli()[0];
     KernelBackend &kb = ctx_.backend();
+    PolyPool &pool = kb.pool();
 
     auto raise = [&](const RnsPoly &src) {
-        std::vector<u64> coeffs(src.limb(0), src.limb(0) + n);
-        kb.nttInverseLimb(coeffs.data(), ctx_.qTables()[0]);
+        RnsPoly coeffs = pooledCopy(kb, src, 1);
+        kb.nttInverseLimb(coeffs.limb(0), ctx_.qTables()[0]);
 
-        // Center mod q0 and embed into every limb of the full chain
-        // (limbEmbed writes every word of the pooled buffer).
-        RnsPoly out = kb.pool().acquire(n, L + 1, Rep::Coeff);
-        kb.limbEmbed(coeffs, q0, moduli, out);
-        kb.nttForward(out, ctx_.qTables());
+        // Center mod q0, embed into every limb of the full chain and
+        // NTT it, limb by limb (every word of the pooled out is
+        // written).
+        RnsPoly out = pool.acquire(n, L + 1, Rep::Eval);
+        kb.embedNtt(coeffs.limb(0), q0, ctx_.qTablePtrs(L + 1), out);
+        pool.release(std::move(coeffs));
         return out;
     };
 

@@ -121,6 +121,28 @@ class CkksEvaluator
   private:
     void checkCompatible(const Ciphertext &c1, const Ciphertext &c2) const;
 
+    /**
+     * keySwitch writing B' + @p add_b and A' + @p add_a into @p out_b /
+     * @p out_a (level limbs; their words are overwritten). A null
+     * addend adds nothing; the adds that finish HMult and HRot ride in
+     * the ModDown pass.
+     */
+    void keySwitchInto(const RnsPoly &d, const EvalKey &evk, int level,
+                       const RnsPoly *add_b, const RnsPoly *add_a,
+                       RnsPoly &out_b, RnsPoly &out_a) const;
+
+    /** keySwitchInto from precomputed digits. */
+    void keySwitchDigitsInto(const std::vector<RnsPoly> &digits,
+                             const EvalKey &evk, int level,
+                             const RnsPoly *add_b, const RnsPoly *add_a,
+                             RnsPoly &out_b, RnsPoly &out_a) const;
+
+    /** modDownByP plus @p addend (level limbs, Eval rep; null adds
+     *  nothing), written into @p out (level limbs; its words are
+     *  overwritten). */
+    void modDownInto(const RnsPoly &extended, int level,
+                     const RnsPoly *addend, RnsPoly &out) const;
+
     const CkksContext &ctx_;
 };
 

@@ -201,31 +201,34 @@ KernelBackend::addScalar(const RnsPoly &a,
 }
 
 void
-KernelBackend::subMulScalar(const RnsPoly &a, const RnsPoly &b,
-                            const std::vector<u64> &scalar_per_limb,
-                            const std::vector<Modulus> &moduli, RnsPoly &r)
+KernelBackend::tensor(const RnsPoly &b1, const RnsPoly &a1,
+                      const RnsPoly &b2, const RnsPoly &a2,
+                      const std::vector<Modulus> &moduli, RnsPoly &d0,
+                      RnsPoly &d1, RnsPoly &d2)
 {
-    const size_t limbs = r.numLimbs();
-    ARK_ASSERT(a.numLimbs() >= limbs && b.numLimbs() >= limbs,
-               "operands carry fewer limbs than the result");
-    ARK_ASSERT(a.degree() == r.degree() && b.degree() == r.degree(),
-               "degree mismatch");
-    ARK_ASSERT(a.rep() == b.rep(), "operand representation mismatch");
-    ARK_ASSERT(scalar_per_limb.size() >= limbs && moduli.size() >= limbs,
-               "missing scalars or moduli");
-    const size_t n = r.degree();
-    recordStats(KernelOp::SubMulScalar, limbs, 3 * limbs * n,
-                  limbs * n);
+    checkBinary(b1, a1, moduli, d0);
+    checkBinary(b2, a2, moduli, d1);
+    ARK_ASSERT(b1.sameShape(b2) && d1.sameShape(d0) && d2.sameShape(d0),
+               "operand shape mismatch");
+    ARK_ASSERT(b1.rep() == Rep::Eval && b2.rep() == Rep::Eval,
+               "tensor requires evaluation representation");
+    const size_t limbs = b1.numLimbs();
+    const size_t n = b1.degree();
+    recordStats(KernelOp::Tensor, limbs, 7 * limbs * n, 4 * limbs * n);
     run(limbs, n, [&](size_t l) {
         const Modulus &q = moduli[l];
-        const u64 s = scalar_per_limb[l];
-        const u64 ss = q.shoupPrecompute(s);
-        const u64 *pa = a.limb(l), *pb = b.limb(l);
-        u64 *pr = r.limb(l);
-        for (size_t i = 0; i < n; ++i)
-            pr[i] = q.mulShoup(q.sub(pa[i], pb[i]), s, ss);
+        const u64 *pb1 = b1.limb(l), *pa1 = a1.limb(l);
+        const u64 *pb2 = b2.limb(l), *pa2 = a2.limb(l);
+        u64 *p0 = d0.limb(l), *p1 = d1.limb(l), *p2 = d2.limb(l);
+        for (size_t i = 0; i < n; ++i) {
+            p0[i] = q.mul(pb1[i], pb2[i]);
+            p1[i] = q.add(q.mul(pa1[i], pb2[i]), q.mul(pa2[i], pb1[i]));
+            p2[i] = q.mul(pa1[i], pa2[i]);
+        }
     });
-    r.setRep(a.rep());
+    d0.setRep(Rep::Eval);
+    d1.setRep(Rep::Eval);
+    d2.setRep(Rep::Eval);
 }
 
 void
@@ -253,37 +256,10 @@ KernelBackend::monomialMul(const RnsPoly &a, size_t shift,
 }
 
 void
-KernelBackend::limbEmbed(const std::vector<u64> &src, const Modulus &src_q,
-                         const std::vector<Modulus> &out_moduli,
-                         RnsPoly &out)
-{
-    const size_t n = out.degree();
-    ARK_ASSERT(src.size() == n, "source limb length mismatch");
-    ARK_ASSERT(out_moduli.size() >= out.numLimbs(), "not enough moduli");
-    ARK_ASSERT(out.rep() == Rep::Coeff, "limbEmbed produces Coeff rep");
-    const u64 q0 = src_q.value();
-    const u64 half = q0 / 2;
-    recordStats(KernelOp::LimbEmbed, out.numLimbs(),
-                  2 * out.numLimbs() * n, 0);
-    run(out.numLimbs(), n, [&](size_t l) {
-        const u64 q = out_moduli[l].value();
-        const u64 q0_mod = q0 % q;
-        u64 *dst = out.limb(l);
-        for (size_t i = 0; i < n; ++i) {
-            const u64 v = src[i];
-            u64 rr = v % q;
-            if (v > half) // negative centered residue: subtract q0
-                rr = subMod(rr, q0_mod, q);
-            dst[i] = rr;
-        }
-    });
-}
-
-void
 KernelBackend::evkMulAcc(const RnsPoly &digit, const RnsPoly &evk_b,
                          const RnsPoly &evk_a, size_t nq, size_t full_nq,
                          const std::vector<Modulus> &key_moduli,
-                         RnsPoly &acc_b, RnsPoly &acc_a)
+                         RnsPoly &acc_b, RnsPoly &acc_a, bool accumulate)
 {
     const size_t limbs = digit.numLimbs();
     const size_t n = digit.degree();
@@ -298,8 +274,10 @@ KernelBackend::evkMulAcc(const RnsPoly &digit, const RnsPoly &evk_b,
                    evk_b.sameShape(evk_a),
                "evk polys must span the full key basis");
     obs::ScopedSpan span("evk_mul_acc");
-    recordStats(KernelOp::EvkMulAcc, limbs, 7 * limbs * n,
-                  2 * limbs * n);
+    // Reads digit, evk_b, evk_a (and both accumulators when
+    // accumulating), writes both accumulators.
+    recordStats(KernelOp::EvkMulAcc, limbs,
+                (accumulate ? 7 : 5) * limbs * n, 2 * limbs * n);
     noteEvkWords(2 * limbs * n); // evk operand stream
     run(limbs, n, [&](size_t l) {
         // evk polys span the full basis; select the matching limb.
@@ -309,7 +287,14 @@ KernelBackend::evkMulAcc(const RnsPoly &digit, const RnsPoly &evk_b,
         const u64 *kb = evk_b.limb(evk_limb), *ka = evk_a.limb(evk_limb);
         u64 *ab = acc_b.limb(l), *aa = acc_a.limb(l);
         if (kernels_.evk_mac_limb != nullptr) {
-            kernels_.evk_mac_limb(m, d, kb, ka, ab, aa, n);
+            kernels_.evk_mac_limb(m, d, kb, ka, ab, aa, n, accumulate);
+            return;
+        }
+        if (!accumulate) {
+            for (size_t i = 0; i < n; ++i) {
+                ab[i] = m.mul(d[i], kb[i]);
+                aa[i] = m.mul(d[i], ka[i]);
+            }
             return;
         }
         for (size_t i = 0; i < n; ++i) {
@@ -336,6 +321,46 @@ vectorNtt(const SimdKernels &k, const NttTables &table)
 {
     return table.degree() >= k.min_ntt_degree &&
            table.modulus().value() < (1ULL << 60);
+}
+
+/** Row @p i of a fused SubMulTail over the @p n words of @p v. The
+ *  arithmetic is the unfused (a - b) * s and add kernels', word for
+ *  word. */
+void
+subMulTailRow(const KernelBackend::SubMulTail &tail, size_t i,
+              const Modulus &q, u64 *v, size_t n)
+{
+    const u64 s = tail.scalars[i];
+    const u64 ss = q.shoupPrecompute(s);
+    const u64 *m = tail.minuend[i];
+    if (tail.addend.empty()) {
+        for (size_t c = 0; c < n; ++c)
+            v[c] = q.mulShoup(q.sub(m[c], v[c]), s, ss);
+        return;
+    }
+    const u64 *a = tail.addend[i];
+    for (size_t c = 0; c < n; ++c)
+        v[c] = q.add(a[c], q.mulShoup(q.sub(m[c], v[c]), s, ss));
+}
+
+/** A null @p tail, or one with an entry for each of @p rows rows. */
+void
+checkTail(const KernelBackend::SubMulTail *tail, size_t rows)
+{
+    ARK_ASSERT(tail == nullptr ||
+                   (tail->minuend.size() >= rows &&
+                    tail->scalars.size() >= rows &&
+                    (tail->addend.empty() || tail->addend.size() >= rows)),
+               "tail rows missing");
+}
+
+/** Tally of a SubMulTail over @p rows rows of @p n words: the
+ *  minuend, the NTT'd row and the addend (if any) read, the row
+ *  written. */
+u64
+tailWords(const KernelBackend::SubMulTail &tail, size_t rows, size_t n)
+{
+    return (tail.addend.empty() ? 3 : 4) * rows * n;
 }
 
 } // namespace
@@ -442,6 +467,47 @@ KernelBackend::nttInverseLimb(u64 *limb, const NttTables &table)
     nttInverseLimbKernel(limb, table);
 }
 
+void
+KernelBackend::embedNtt(const u64 *src, const Modulus &src_q,
+                        const std::vector<const NttTables *> &tables,
+                        RnsPoly &out, const SubMulTail *tail)
+{
+    const size_t limbs = out.numLimbs();
+    const size_t n = out.degree();
+    ARK_ASSERT(tables.size() >= limbs, "not enough NTT tables");
+    checkTail(tail, limbs);
+    const u64 q0 = src_q.value();
+    const u64 half = q0 / 2;
+    obs::ScopedSpan span("embed_ntt");
+    // Credited per component, as the unfused kernels would tally them.
+    recordStats(KernelOp::LimbEmbed, limbs, 2 * limbs * n, 0);
+    recordStats(KernelOp::NttForward, limbs, 2 * limbs * n,
+                limbs * nttMults(n));
+    if (tail != nullptr)
+        recordStats(KernelOp::SubMulScalar, limbs,
+                    tailWords(*tail, limbs, n), limbs * n);
+    run(limbs, n, [&](size_t l) {
+        const Modulus &mq = tables[l]->modulus();
+        const u64 q = mq.value();
+        const u64 q0_mod = q0 % q;
+        // v mod q as the Shoup product v * 1: exact for any 64-bit v,
+        // without a division per word.
+        const u64 one_shoup = mq.shoupPrecompute(1);
+        u64 *dst = out.limb(l);
+        for (size_t i = 0; i < n; ++i) {
+            const u64 v = src[i];
+            // A negative centered residue (v > q0/2) subtracts q0;
+            // selecting the subtrahend keeps the loop branch-free.
+            const u64 neg = v > half ? q0_mod : 0;
+            dst[i] = subMod(mq.mulShoup(v, 1, one_shoup), neg, q);
+        }
+        nttForwardLimbKernel(dst, *tables[l]);
+        if (tail != nullptr)
+            subMulTailRow(*tail, l, mq, dst, n);
+    });
+    out.setRep(Rep::Eval);
+}
+
 // ---------------------------------------------------------------------------
 // BConv, automorphism, and the fused key-switch digit path
 // ---------------------------------------------------------------------------
@@ -519,7 +585,8 @@ KernelBackend::nttBconvNtt(const std::vector<const u64 *> &digit_rows,
                            const std::vector<const NttTables *> &in_tables,
                            const BaseConverter &bc,
                            const std::vector<const NttTables *> &out_tables,
-                           const std::vector<u64 *> &out_rows)
+                           const std::vector<u64 *> &out_rows,
+                           const SubMulTail *tail)
 {
     const size_t nb = bc.inBase().size();
     const size_t nc = bc.outBase().size();
@@ -527,6 +594,7 @@ KernelBackend::nttBconvNtt(const std::vector<const u64 *> &digit_rows,
                "row counts must match the converter's bases");
     ARK_ASSERT(in_tables.size() >= nb && out_tables.size() >= nc,
                "not enough NTT tables");
+    checkTail(tail, nc);
     const size_t n = in_tables[0]->degree();
     // Tally the fused call itself, then credit the component counters
     // so FU-level consumers (simulator) see the right per-FU split.
@@ -538,6 +606,9 @@ KernelBackend::nttBconvNtt(const std::vector<const u64 *> &digit_rows,
                   nb * n + nb * nc * n);
     recordStats(KernelOp::NttForward, nc, 2 * nc * n,
                   nc * nttMults(n));
+    if (tail != nullptr)
+        recordStats(KernelOp::SubMulScalar, nc, tailWords(*tail, nc, n),
+                    nc * n);
 
     // Stage 1: INTT each digit limb into one pooled scratch matrix
     // (the BConv scale now rides inside the tile pass, where the
@@ -563,9 +634,13 @@ KernelBackend::nttBconvNtt(const std::vector<const u64 *> &digit_rows,
     });
     pool_.release(std::move(scaled));
 
-    // Stage 3: forward-NTT each produced limb in place.
+    // Stage 3: forward-NTT each produced limb in place, then run the
+    // tail on it while it is still in cache.
     run(nc, n, [&](size_t i) {
         nttForwardLimbKernel(out_rows[i], *out_tables[i]);
+        if (tail != nullptr)
+            subMulTailRow(*tail, i, out_tables[i]->modulus(), out_rows[i],
+                          n);
     });
 }
 
@@ -581,16 +656,6 @@ KernelBackend::copyLimbs(const RnsPoly &src, size_t src_lo, RnsPoly &dst,
         std::memcpy(dst.limb(dst_lo + l), src.limb(src_lo + l),
                     n * sizeof(u64));
     });
-}
-
-RnsPoly
-KernelBackend::acquireZeroed(size_t degree, size_t limbs, Rep rep)
-{
-    RnsPoly p = pool_.acquire(degree, limbs, rep);
-    run(limbs, degree, [&](size_t l) {
-        std::memset(p.limb(l), 0, degree * sizeof(u64));
-    });
-    return p;
 }
 
 // ---------------------------------------------------------------------------

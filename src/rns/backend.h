@@ -2,8 +2,10 @@
  * @file
  * Pluggable kernel-backend layer: every limb-level kernel of the
  * library — element-wise limb ops, (I)NTT, BConv, automorphism, the
- * evk MAC, and the fused INTT->BConv->NTT key-switch digit path
- * (Alg. 1) — executes behind this interface.
+ * evk MAC, the fused INTT->BConv->NTT key-switch digit path (Alg. 1),
+ * and the element-wise tails fused into an op's last pass (HMult's
+ * tensor, embed -> NTT, the ModDown and rescale sub-mul tail) —
+ * executes behind this interface.
  *
  * The scheme layers (ckks/, boot/) never touch kernel loops directly;
  * they dispatch through the KernelBackend owned by their CkksContext.
@@ -101,35 +103,44 @@ class KernelBackend
                    const std::vector<u64> &scalar_per_limb,
                    const std::vector<Modulus> &moduli, RnsPoly &r);
     /**
-     * Fused r_l = (a_l - b_l) * s_l over the first r.numLimbs() limbs
-     * (the ModDown-by-P and rescale tails; a/b may carry more limbs).
+     * The tensor step of HMult in one pass over the four operands
+     * (Eval rep): d0 = b1*b2, d1 = a1*b2 + a2*b1, d2 = a1*a2.
      */
-    void subMulScalar(const RnsPoly &a, const RnsPoly &b,
-                      const std::vector<u64> &scalar_per_limb,
-                      const std::vector<Modulus> &moduli, RnsPoly &r);
+    void tensor(const RnsPoly &b1, const RnsPoly &a1, const RnsPoly &b2,
+                const RnsPoly &a2, const std::vector<Modulus> &moduli,
+                RnsPoly &d0, RnsPoly &d1, RnsPoly &d2);
     /** Negacyclic multiply by X^shift (Coeff rep; mulByI uses N/2). */
     void monomialMul(const RnsPoly &a, size_t shift,
                      const std::vector<Modulus> &moduli, RnsPoly &r);
-    /**
-     * Extend one limb of centered residues mod @p src_q into every
-     * limb of @p out (Coeff rep): values above src_q/2 embed as
-     * negative. This is the ModRaise embedding and the OF-Limb
-     * runtime limb generation (Eq. 12).
-     */
-    void limbEmbed(const std::vector<u64> &src, const Modulus &src_q,
-                   const std::vector<Modulus> &out_moduli, RnsPoly &out);
     /**
      * One key-switch MAC (Alg. 2 line 5, the MADU inner loop):
      * acc_b += digit * evk_b, acc_a += digit * evk_a, where the evk
      * polys span the full [q_0..q_L, p_*] basis and the digit spans
      * [q_0..q_level, p_*]; @p nq = level+1, @p full_nq = L+1 select
-     * the matching evk limb. Also tallies the evk operand stream.
+     * the matching evk limb. With @p accumulate false the products
+     * overwrite the accumulators instead (the first digit), so they
+     * need no clearing. Also tallies the evk operand stream.
      */
     void evkMulAcc(const RnsPoly &digit, const RnsPoly &evk_b,
                    const RnsPoly &evk_a, size_t nq, size_t full_nq,
                    const std::vector<Modulus> &key_moduli,
-                   RnsPoly &acc_b, RnsPoly &acc_a);
+                   RnsPoly &acc_b, RnsPoly &acc_a, bool accumulate = true);
     /// @}
+
+    /**
+     * Element-wise tail a fused kernel applies to each output row v
+     * right after forward-NTTing it, while the row is still in cache:
+     * v = (minuend - v) * scalar, then v = addend + v when @c addend
+     * is non-empty. That is the ModDown-by-P and rescale division,
+     * optionally followed by the HMult / HRot add. Entry i pairs with
+     * output row i; the modulus is that row's NTT table's.
+     */
+    struct SubMulTail
+    {
+        std::vector<const u64 *> minuend;
+        std::vector<u64> scalars;
+        std::vector<const u64 *> addend;
+    };
 
     /// @name NTT kernels
     /// @{
@@ -143,6 +154,18 @@ class KernelBackend
     /** Single detached limb (rescale / ModRaise bookkeeping). */
     void nttForwardLimb(u64 *limb, const NttTables &table);
     void nttInverseLimb(u64 *limb, const NttTables &table);
+    /**
+     * Runtime limb generation fused with its forward NTT: extend the
+     * centered residues @p src mod @p src_q (degree words, Coeff rep;
+     * values above src_q/2 embed as negative) into every limb of
+     * @p out, forward-NTT each limb with @p tables in the same job and
+     * apply @p tail if given. This is ModRaise, OF-Limb plaintext
+     * generation (Eq. 12) and, with the tail, rescale. @p out becomes
+     * Eval rep.
+     */
+    void embedNtt(const u64 *src, const Modulus &src_q,
+                  const std::vector<const NttTables *> &tables,
+                  RnsPoly &out, const SubMulTail *tail = nullptr);
     /// @}
 
     /// @name Base conversion and automorphism
@@ -169,12 +192,15 @@ class KernelBackend
      * left unmodified) and writes each converted Eval-rep limb straight
      * into @p out_rows (one per out-base prime), e.g. the missing limbs
      * of an extended poly. Rows hold in_tables[0]->degree() words.
+     * @p tail, if given, runs on each output row after its NTT (the
+     * ModDown division).
      */
     void nttBconvNtt(const std::vector<const u64 *> &digit_rows,
                      const std::vector<const NttTables *> &in_tables,
                      const BaseConverter &bc,
                      const std::vector<const NttTables *> &out_tables,
-                     const std::vector<u64 *> &out_rows);
+                     const std::vector<u64 *> &out_rows,
+                     const SubMulTail *tail = nullptr);
     /// @}
 
     /// @name Limb movement
@@ -184,8 +210,6 @@ class KernelBackend
     /** dst limbs [dst_lo, dst_lo + count) = src limbs [src_lo, ...). */
     void copyLimbs(const RnsPoly &src, size_t src_lo, RnsPoly &dst,
                    size_t dst_lo, size_t count);
-    /** A pooled (degree x limbs) poly with every word cleared. */
-    RnsPoly acquireZeroed(size_t degree, size_t limbs, Rep rep);
     /// @}
 
     /// @name Measured execution tallies

@@ -31,11 +31,13 @@ enum class KernelOp : size_t {
     Neg,
     MulEval,
     MulAccEval,
+    Tensor,       ///< HMult tensor: d0, d1, d2 in one pass
     MulScalar,
     AddScalar,
-    SubMulScalar, ///< fused (a - b) * s (ModDown / rescale tail)
+    SubMulScalar, ///< (a - b) * s tail fused after a forward NTT
     MonomialMul,  ///< negacyclic multiply by X^k (mulByI)
-    LimbEmbed,    ///< centered residue extension (ModRaise / OF-Limb)
+    LimbEmbed,    ///< centered residue extension fused before a
+                  ///< forward NTT (ModRaise / OF-Limb / rescale)
     EvkMulAcc,    ///< digit x evk MAC (the paper's MADU inner loop)
     NttForward,
     NttInverse,
@@ -56,6 +58,7 @@ kernelOpName(KernelOp op)
       case KernelOp::Neg: return "neg";
       case KernelOp::MulEval: return "mul_eval";
       case KernelOp::MulAccEval: return "mul_acc_eval";
+      case KernelOp::Tensor: return "tensor";
       case KernelOp::MulScalar: return "mul_scalar";
       case KernelOp::AddScalar: return "add_scalar";
       case KernelOp::SubMulScalar: return "sub_mul_scalar";

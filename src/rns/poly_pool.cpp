@@ -86,8 +86,8 @@ PolyPool::release(RnsPoly &&p)
     std::lock_guard<std::mutex> lk(own.m);
     ++own.released;
     auto &list = own.free[{degree, limbs}];
-    if (list.size() < kMaxPerKeyPerStripe &&
-        own.cached_words + buf.size() <= kMaxWordsPerStripe) {
+    if (list.size() < stripe_per_key_ &&
+        own.cached_words + buf.size() <= stripe_words_) {
         own.cached_words += buf.size();
         list.push_back(std::move(buf));
     }
@@ -118,6 +118,13 @@ PolyPool::trim()
         st.free.clear();
         st.cached_words = 0;
     }
+}
+
+void
+PolyPool::reserve(size_t words, size_t per_key)
+{
+    stripe_words_ = std::max(stripe_words_, words);
+    stripe_per_key_ = std::max(stripe_per_key_, per_key);
 }
 
 PolyPool &

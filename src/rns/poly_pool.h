@@ -31,9 +31,18 @@
  * disjoint mutexes instead of serializing on one. An acquire that
  * misses its own stripe steals from the others (one lock at a time,
  * never nested) before falling back to the heap, so buffers released
- * by another thread are still recycled. The per-shape and total-word
- * retention caps are split evenly across stripes, which keeps the
- * global bounds of the unstriped pool intact.
+ * by another thread are still recycled.
+ *
+ * Every stripe has the same retention caps: a word budget (32 MiB by
+ * default) and a buffer count per (degree, limbs) key. A scheme op
+ * acquires and releases all its temporaries on the calling thread, so
+ * one stripe must hold a whole op's working set for the next op to
+ * recycle it. The owner sizes that with reserve(): a CkksContext
+ * raises its backend's caps to one top-level key switch (the digits,
+ * two accumulators, and the level-sized tensor and ModDown polys),
+ * which at CkksParams::ark() is 153 MiB per stripe; smaller
+ * parameter sets keep the 32 MiB floor. Releases beyond the caps free
+ * to the heap.
  */
 
 #pragma once
@@ -85,6 +94,19 @@ class PolyPool
     void trim();
 
     /**
+     * Raise each stripe's retention caps to at least @p words words
+     * and @p per_key buffers per shape; never lowers them. Call before
+     * the pool is shared across threads.
+     */
+    void reserve(size_t words, size_t per_key);
+
+    /** Default per-stripe word budget (32 MiB), the floor reserve()
+     *  raises from. Long-running servers churn through many shapes as
+     *  workloads change level; the byte budget keeps cached memory
+     *  from ratcheting up by shape. */
+    static constexpr size_t kStripeWords = (size_t(32) << 20) / sizeof(u64);
+
+    /**
      * Process-wide pool used by callers without a backend of their own
      * (the BaseConverter compatibility stages, standalone tools).
      * Backends own private pools so contexts do not contend.
@@ -96,24 +118,11 @@ class PolyPool
      *  with a mask. Eight comfortably spreads the serving runtime's
      *  worker counts without bloating the idle pool. */
     static constexpr size_t kStripes = 8;
-    /** Buffers pooled per (degree, limbs) key beyond which release()
-     *  frees instead of caching — bounds per-shape retention while
-     *  comfortably covering one serving worker set's temporaries.
-     *  Split evenly across stripes. */
-    static constexpr size_t kMaxPerKey = 64;
-    /**
-     * Total words the pool will retain across all keys (256 MiB).
-     * Long-running servers churn through many (degree, limbs) shapes
-     * as workloads change level; without a byte budget the per-key
-     * cap alone would let cached memory ratchet up by shape. Releases
-     * beyond the budget free to the heap instead. Split evenly across
-     * stripes.
-     */
-    static constexpr size_t kMaxCachedWords =
-        (size_t(256) << 20) / sizeof(u64);
-    static constexpr size_t kMaxPerKeyPerStripe = kMaxPerKey / kStripes;
-    static constexpr size_t kMaxWordsPerStripe =
-        kMaxCachedWords / kStripes;
+    /** Default buffers pooled per (degree, limbs) key and stripe
+     *  beyond which release() frees instead of caching: bounds
+     *  per-shape retention of small polys, whose word budget alone
+     *  would let thousands pile up. */
+    static constexpr size_t kStripePerKey = 8;
 
     struct Stripe
     {
@@ -131,6 +140,8 @@ class PolyPool
     static bool popFrom(Stripe &s, std::pair<size_t, size_t> key,
                         std::vector<u64> &buf);
 
+    size_t stripe_words_ = kStripeWords;
+    size_t stripe_per_key_ = kStripePerKey;
     std::array<Stripe, kStripes> stripes_;
 };
 

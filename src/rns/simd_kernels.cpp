@@ -611,12 +611,14 @@ bconvTileAvx512(const BaseConverter &bc, const u64 *const *in, size_t c0,
 
 // ---------------------------------------------------------------------------
 // AVX-512 evk MAC limb: ab += d * kb, aa += d * ka with Barrett
-// reduction, mirroring the KernelBackend::evkMulAcc inner loop.
+// reduction (or a plain store of the products for the first digit),
+// mirroring the KernelBackend::evkMulAcc inner loop.
 // ---------------------------------------------------------------------------
 
+template <bool kAccumulate>
 ARK_T512 void
-evkMacLimbAvx512(const Modulus &m, const u64 *pd, const u64 *kb,
-                 const u64 *ka, u64 *ab, u64 *aa, size_t n)
+evkMacLimbAvx512Impl(const Modulus &m, const u64 *pd, const u64 *kb,
+                     const u64 *ka, u64 *ab, u64 *aa, size_t n)
 {
     const Mod512 md = loadMod512(m);
     size_t i = 0;
@@ -627,23 +629,42 @@ evkMacLimbAvx512(const Modulus &m, const u64 *pd, const u64 *kb,
             __m512i p_lo, p_hi;
             mul64_512(load512(kb + i), d, d_hi, md.m32, &p_lo, &p_hi);
             const __m512i t = barrett512(p_lo, p_hi, md);
-            const __m512i acc =
-                _mm512_add_epi64(load512(ab + i), t);
-            store512(ab + i, csub512(acc, md.q));
+            if (kAccumulate) {
+                const __m512i acc = _mm512_add_epi64(load512(ab + i), t);
+                store512(ab + i, csub512(acc, md.q));
+            } else {
+                store512(ab + i, t);
+            }
         }
         {
             __m512i p_lo, p_hi;
             mul64_512(load512(ka + i), d, d_hi, md.m32, &p_lo, &p_hi);
             const __m512i t = barrett512(p_lo, p_hi, md);
-            const __m512i acc =
-                _mm512_add_epi64(load512(aa + i), t);
-            store512(aa + i, csub512(acc, md.q));
+            if (kAccumulate) {
+                const __m512i acc = _mm512_add_epi64(load512(aa + i), t);
+                store512(aa + i, csub512(acc, md.q));
+            } else {
+                store512(aa + i, t);
+            }
         }
     }
     for (; i < n; ++i) {
-        ab[i] = m.add(ab[i], m.mul(pd[i], kb[i]));
-        aa[i] = m.add(aa[i], m.mul(pd[i], ka[i]));
+        const u64 tb = m.mul(pd[i], kb[i]);
+        const u64 ta = m.mul(pd[i], ka[i]);
+        ab[i] = kAccumulate ? m.add(ab[i], tb) : tb;
+        aa[i] = kAccumulate ? m.add(aa[i], ta) : ta;
     }
+}
+
+ARK_T512 void
+evkMacLimbAvx512(const Modulus &m, const u64 *pd, const u64 *kb,
+                 const u64 *ka, u64 *ab, u64 *aa, size_t n,
+                 bool accumulate)
+{
+    if (accumulate)
+        evkMacLimbAvx512Impl<true>(m, pd, kb, ka, ab, aa, n);
+    else
+        evkMacLimbAvx512Impl<false>(m, pd, kb, ka, ab, aa, n);
 }
 
 // ---------------------------------------------------------------------------
@@ -1118,9 +1139,10 @@ bconvTileAvx2(const BaseConverter &bc, const u64 *const *in, size_t c0,
     }
 }
 
+template <bool kAccumulate>
 ARK_T256 void
-evkMacLimbAvx2(const Modulus &m, const u64 *pd, const u64 *kb,
-               const u64 *ka, u64 *ab, u64 *aa, size_t n)
+evkMacLimbAvx2Impl(const Modulus &m, const u64 *pd, const u64 *kb,
+                   const u64 *ka, u64 *ab, u64 *aa, size_t n)
 {
     const Mod256 md = loadMod256(m);
     size_t i = 0;
@@ -1131,21 +1153,41 @@ evkMacLimbAvx2(const Modulus &m, const u64 *pd, const u64 *kb,
             __m256i p_lo, p_hi;
             mul64_256(load256(kb + i), d, d_hi, md.m32, &p_lo, &p_hi);
             const __m256i t = barrett256(p_lo, p_hi, md);
-            const __m256i acc = _mm256_add_epi64(load256(ab + i), t);
-            store256(ab + i, csub256(acc, md.bq, md.bias));
+            if (kAccumulate) {
+                const __m256i acc = _mm256_add_epi64(load256(ab + i), t);
+                store256(ab + i, csub256(acc, md.bq, md.bias));
+            } else {
+                store256(ab + i, t);
+            }
         }
         {
             __m256i p_lo, p_hi;
             mul64_256(load256(ka + i), d, d_hi, md.m32, &p_lo, &p_hi);
             const __m256i t = barrett256(p_lo, p_hi, md);
-            const __m256i acc = _mm256_add_epi64(load256(aa + i), t);
-            store256(aa + i, csub256(acc, md.bq, md.bias));
+            if (kAccumulate) {
+                const __m256i acc = _mm256_add_epi64(load256(aa + i), t);
+                store256(aa + i, csub256(acc, md.bq, md.bias));
+            } else {
+                store256(aa + i, t);
+            }
         }
     }
     for (; i < n; ++i) {
-        ab[i] = m.add(ab[i], m.mul(pd[i], kb[i]));
-        aa[i] = m.add(aa[i], m.mul(pd[i], ka[i]));
+        const u64 tb = m.mul(pd[i], kb[i]);
+        const u64 ta = m.mul(pd[i], ka[i]);
+        ab[i] = kAccumulate ? m.add(ab[i], tb) : tb;
+        aa[i] = kAccumulate ? m.add(aa[i], ta) : ta;
     }
+}
+
+ARK_T256 void
+evkMacLimbAvx2(const Modulus &m, const u64 *pd, const u64 *kb,
+               const u64 *ka, u64 *ab, u64 *aa, size_t n, bool accumulate)
+{
+    if (accumulate)
+        evkMacLimbAvx2Impl<true>(m, pd, kb, ka, ab, aa, n);
+    else
+        evkMacLimbAvx2Impl<false>(m, pd, kb, ka, ab, aa, n);
 }
 
 } // namespace

@@ -53,11 +53,12 @@ struct SimdKernels
     void (*bconv_tile)(const BaseConverter &bc, const u64 *const *in,
                        size_t c0, size_t c1, u64 *scratch,
                        u64 *const *out) = nullptr;
-    /** One limb of the key-switch MAC: ab += d * kb, aa += d * ka
+    /** One limb of the key-switch MAC: ab += d * kb, aa += d * ka, or
+     *  ab = d * kb, aa = d * ka when @p accumulate is false
      *  (== the KernelBackend::evkMulAcc inner loop). */
     void (*evk_mac_limb)(const Modulus &m, const u64 *d, const u64 *kb,
-                         const u64 *ka, u64 *ab, u64 *aa,
-                         size_t n) = nullptr;
+                         const u64 *ka, u64 *ab, u64 *aa, size_t n,
+                         bool accumulate) = nullptr;
 };
 
 /**

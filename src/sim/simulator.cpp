@@ -377,8 +377,8 @@ ArkSimulator::runMeasured(const KernelStats &st,
         static_cast<double>(st.at(KernelOp::BConv).mults);
     double mad_mults = 0;
     for (KernelOp op : {KernelOp::MulEval, KernelOp::MulAccEval,
-                        KernelOp::MulScalar, KernelOp::SubMulScalar,
-                        KernelOp::EvkMulAcc})
+                        KernelOp::Tensor, KernelOp::MulScalar,
+                        KernelOp::SubMulScalar, KernelOp::EvkMulAcc})
         mad_mults += static_cast<double>(st.at(op).mults);
     // Permutations occupy the AutoU lanes one word per lane-cycle.
     const double auto_words = static_cast<double>(

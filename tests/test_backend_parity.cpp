@@ -4,8 +4,11 @@
  * table) against the serial scalar engine for every kernel, across
  * several (N, L) shapes on both sides of the executor's fan-out grain
  * and at 1, 2 and 4 threads, including the fused nttBconvNtt
- * key-switch digit path and its copy-free row form — plus sanity
- * checks that the engines record KernelStats for what they executed.
+ * key-switch digit path and its copy-free row form, and the fused
+ * element-wise tails (HMult tensor, embed -> NTT, the ModDown and
+ * rescale sub-mul(-add) tails, the first digit's assigning evk MAC)
+ * against the unfused compositions they replace — plus sanity checks
+ * that the engines record KernelStats for what they executed.
  *
  * Also gates the lazy-reduction kernel pass: the Harvey lazy NTT must
  * round-trip and match the strict reference transforms across every
@@ -109,6 +112,54 @@ class BackendParityTest
         return p;
     }
 
+    /** The unfused centered-residue embedding (ModRaise / OF-Limb):
+     *  @p src mod @p src_q into every fixture limb, Coeff rep. */
+    RnsPoly embedReference(const std::vector<u64> &src,
+                           const Modulus &src_q) const
+    {
+        RnsPoly out(degree_, limbs_, Rep::Coeff);
+        for (size_t l = 0; l < limbs_; ++l) {
+            const u64 q = moduli_[l].value();
+            for (size_t i = 0; i < degree_; ++i) {
+                u64 r = src[i] % q;
+                if (src[i] > src_q.value() / 2)
+                    r = subMod(r, src_q.value() % q, q);
+                out.limb(l)[i] = r;
+            }
+        }
+        return out;
+    }
+
+    /** The unfused sub-mul(-add) pass a SubMulTail replaces, applied
+     *  to the NTT output @p v. */
+    RnsPoly tailReference(const KernelBackend::SubMulTail &t,
+                          const RnsPoly &v) const
+    {
+        RnsPoly out(degree_, limbs_, Rep::Eval);
+        for (size_t l = 0; l < limbs_; ++l) {
+            const Modulus &q = moduli_[l];
+            for (size_t i = 0; i < degree_; ++i) {
+                u64 r = q.mul(q.sub(t.minuend[l][i], v.limb(l)[i]),
+                              t.scalars[l]);
+                if (!t.addend.empty())
+                    r = q.add(t.addend[l][i], r);
+                out.limb(l)[i] = r;
+            }
+        }
+        return out;
+    }
+
+    /** A poly recycled from @p kb 's pool whose words are all
+     *  garbage: a kernel writing into it must overwrite every one. */
+    RnsPoly pooledGarbage(KernelBackend &kb, size_t limbs, Rep rep) const
+    {
+        RnsPoly junk = kb.pool().acquire(degree_, limbs, rep);
+        std::fill(junk.limb(0), junk.limb(0) + degree_ * limbs,
+                  0xDEADBEEFCAFEF00DULL);
+        kb.pool().release(std::move(junk));
+        return kb.pool().acquire(degree_, limbs, rep);
+    }
+
     static void expectIdentical(const RnsPoly &a, const RnsPoly &b)
     {
         ASSERT_EQ(a.numLimbs(), b.numLimbs());
@@ -164,18 +215,10 @@ TEST_P(BackendParityTest, ElementwiseKernels)
     check2([&](KernelBackend &kb, RnsPoly &r) {
         kb.addScalar(a, scalars, moduli_, r);
     });
-    check2([&](KernelBackend &kb, RnsPoly &r) {
-        kb.subMulScalar(a, b, scalars, moduli_, r);
-    });
-    // Limb movement: a copy of limbs [1, L) shifted down one row, and
-    // a zeroed acquire over a polluted pool.
+    // Limb movement: a copy of limbs [1, L) shifted down one row.
     check2([&](KernelBackend &kb, RnsPoly &r) {
         kb.copyLimbs(a, 1, r, 0, limbs_ - 1);
         kb.copyLimbs(a, 0, r, limbs_ - 1, 1);
-    });
-    check2([&](KernelBackend &kb, RnsPoly &r) {
-        kb.pool().release(randomPoly(Rep::Eval, 14));
-        r = kb.acquireZeroed(degree_, limbs_, Rep::Eval);
     });
 
     // MAC accumulates into the result: seed both sides identically.
@@ -190,7 +233,7 @@ TEST_P(BackendParityTest, ElementwiseKernels)
     }
 }
 
-TEST_P(BackendParityTest, MonomialMulAndLimbEmbed)
+TEST_P(BackendParityTest, MonomialMulAndEmbedNtt)
 {
     auto a = randomPoly(Rep::Coeff, 4);
     for (size_t shift : {size_t(0), size_t(1), degree_ / 2,
@@ -205,15 +248,106 @@ TEST_P(BackendParityTest, MonomialMulAndLimbEmbed)
         }
     }
 
+    // Runtime limb generation: the fused embed -> NTT against the
+    // unfused composition (reference embedding, then a forward NTT).
     Rng rng(5);
     auto src = rng.uniformVector(degree_, moduli_[0].value());
-    RnsPoly want(degree_, limbs_, Rep::Coeff);
-    scalar_->limbEmbed(src, moduli_[0], moduli_, want);
+    RnsPoly want = embedReference(src, moduli_[0]);
+    scalar_->nttForward(want, table_ptrs_);
+    RnsPoly fused(degree_, limbs_, Rep::Coeff);
+    scalar_->embedNtt(src.data(), moduli_[0], table_ptrs_, fused);
+    expectIdentical(want, fused);
     for (auto &kb : engines_) {
         SCOPED_TRACE(engineLabel(*kb));
-        RnsPoly got(degree_, limbs_, Rep::Coeff);
-        kb->limbEmbed(src, moduli_[0], moduli_, got);
+        RnsPoly got = pooledGarbage(*kb, limbs_, Rep::Coeff);
+        kb->embedNtt(src.data(), moduli_[0], table_ptrs_, got);
         expectIdentical(want, got);
+    }
+}
+
+/**
+ * The fused element-wise tails against the unfused compositions they
+ * replace, on every engine: the HMult tensor against three mulEval and
+ * one mulAccEval, and the rescale and ModDown tails, (a - NTT(x)) * s
+ * with and without the trailing add, against the reference loop after
+ * the unfused kernel (EvkMulAccParity covers the first digit's
+ * assigning MAC). Fused outputs land in polluted pool buffers, so a
+ * word a kernel fails to write shows up.
+ */
+TEST_P(BackendParityTest, FusedTailsMatchUnfusedComposition)
+{
+    const auto b1 = randomPoly(Rep::Eval, 20);
+    const auto a1 = randomPoly(Rep::Eval, 21);
+    const auto b2 = randomPoly(Rep::Eval, 22);
+    const auto a2 = randomPoly(Rep::Eval, 23);
+
+    // Tensor.
+    RnsPoly want0(degree_, limbs_, Rep::Eval), want1 = want0, want2 = want0;
+    scalar_->mulEval(b1, b2, moduli_, want0);
+    scalar_->mulEval(a1, a2, moduli_, want2);
+    scalar_->mulEval(a1, b2, moduli_, want1);
+    scalar_->mulAccEval(a2, b1, moduli_, want1);
+    std::vector<KernelBackend *> all{scalar_.get()};
+    for (auto &kb : engines_)
+        all.push_back(kb.get());
+    for (KernelBackend *kb : all) {
+        SCOPED_TRACE(engineLabel(*kb));
+        RnsPoly d0 = pooledGarbage(*kb, limbs_, Rep::Eval);
+        RnsPoly d1 = pooledGarbage(*kb, limbs_, Rep::Eval);
+        RnsPoly d2 = pooledGarbage(*kb, limbs_, Rep::Eval);
+        kb->tensor(b1, a1, b2, a2, moduli_, d0, d1, d2);
+        expectIdentical(want0, d0);
+        expectIdentical(want1, d1);
+        expectIdentical(want2, d2);
+    }
+
+    std::vector<u64> scalars;
+    for (auto &m : moduli_)
+        scalars.push_back(m.value() / 3 + 7);
+    KernelBackend::SubMulTail tail{b1.rows(0, limbs_), scalars, {}};
+    KernelBackend::SubMulTail tail_add = tail;
+    tail_add.addend = a1.rows(0, limbs_);
+
+    // Rescale tail: (b1 - NTT(embed(src))) * s (+ a1).
+    Rng rng(24);
+    auto src = rng.uniformVector(degree_, moduli_[0].value());
+    RnsPoly embedded = embedReference(src, moduli_[0]);
+    scalar_->nttForward(embedded, table_ptrs_);
+    for (const auto *t : {&tail, &tail_add}) {
+        const RnsPoly want = tailReference(*t, embedded);
+        for (KernelBackend *kb : all) {
+            SCOPED_TRACE(engineLabel(*kb));
+            RnsPoly got = pooledGarbage(*kb, limbs_, Rep::Eval);
+            kb->embedNtt(src.data(), moduli_[0], table_ptrs_, got, t);
+            expectIdentical(want, got);
+        }
+    }
+
+    // ModDown tail: the copy-free digit path into the output rows,
+    // then (b1 - row) * s (+ a1) per row.
+    auto pc = generatePrimes(41, 3, degree_);
+    std::vector<Modulus> in_base;
+    std::vector<NttTables> in_tables;
+    std::vector<const NttTables *> in_ptrs;
+    for (u64 p : pc) {
+        in_base.emplace_back(p);
+        in_tables.emplace_back(degree_, Modulus(p));
+    }
+    for (auto &t : in_tables)
+        in_ptrs.push_back(&t);
+    BaseConverter bc(in_base, moduli_);
+    const auto special = randomPoly(Rep::Eval, 25, in_base.size());
+    RnsPoly conv = scalar_->nttBconvNtt(special, in_ptrs, bc, table_ptrs_);
+    for (const auto *t : {&tail, &tail_add}) {
+        const RnsPoly want = tailReference(*t, conv);
+        for (KernelBackend *kb : all) {
+            SCOPED_TRACE(engineLabel(*kb));
+            RnsPoly got = pooledGarbage(*kb, limbs_, Rep::Eval);
+            kb->nttBconvNtt(special.rows(0, in_base.size()), in_ptrs, bc,
+                            table_ptrs_, got.mutableRows(0, limbs_), t);
+            got.setRep(Rep::Eval);
+            expectIdentical(want, got);
+        }
     }
 }
 
@@ -366,6 +500,21 @@ TEST_P(BackendParityTest, EvkMulAccParity)
         RnsPoly got_a(degree_, nq + np, Rep::Eval);
         kb->evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli,
                       got_b, got_a);
+        expectIdentical(want_b, got_b);
+        expectIdentical(want_a, got_a);
+    }
+
+    // The first digit's MAC assigns: over garbage accumulators it must
+    // equal the MAC into cleared ones above, on every engine.
+    std::vector<KernelBackend *> all{scalar_.get()};
+    for (auto &kb : engines_)
+        all.push_back(kb.get());
+    for (KernelBackend *kb : all) {
+        SCOPED_TRACE(engineLabel(*kb));
+        RnsPoly got_b = pooledGarbage(*kb, nq + np, Rep::Eval);
+        RnsPoly got_a = pooledGarbage(*kb, nq + np, Rep::Eval);
+        kb->evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli,
+                      got_b, got_a, /*accumulate=*/false);
         expectIdentical(want_b, got_b);
         expectIdentical(want_a, got_a);
     }
@@ -776,8 +925,9 @@ TEST_P(SimdTierParityTest, BconvParityOddBases)
     }
 }
 
-/** evk MAC digit path per tier, including the full_nq > nq tail,
- *  below (N=256) and above (N=4096) the grain. */
+/** evk MAC digit path per tier, accumulating and assigning (the first
+ *  digit), including the full_nq > nq tail, below (N=256) and above
+ *  (N=4096) the grain. */
 TEST_P(SimdTierParityTest, EvkMulAccParityPerTier)
 {
     const size_t np = 2, nq = 3, full_nq = nq + 1;
@@ -817,6 +967,23 @@ TEST_P(SimdTierParityTest, EvkMulAccParityPerTier)
                     << "b limb " << l << " coeff " << c;
                 ASSERT_EQ(as.limb(l)[c], av.limb(l)[c])
                     << "a limb " << l << " coeff " << c;
+            }
+        }
+
+        // First-digit form: assigning over garbage accumulators equals
+        // the MAC into cleared ones.
+        RnsPoly bf(degree, nq + np, Rep::Eval);
+        RnsPoly af(degree, nq + np, Rep::Eval);
+        std::fill(bf.limb(0), bf.limb(0) + degree * (nq + np), ~0ULL);
+        std::fill(af.limb(0), af.limb(0) + degree * (nq + np), ~0ULL);
+        simd_->evkMulAcc(digit, evk_b, evk_a, nq, full_nq, key_moduli, bf,
+                         af, /*accumulate=*/false);
+        for (size_t l = 0; l < nq + np; ++l) {
+            for (size_t c = 0; c < degree; ++c) {
+                ASSERT_EQ(bs.limb(l)[c], bf.limb(l)[c])
+                    << "assigned b limb " << l << " coeff " << c;
+                ASSERT_EQ(as.limb(l)[c], af.limb(l)[c])
+                    << "assigned a limb " << l << " coeff " << c;
             }
         }
     }

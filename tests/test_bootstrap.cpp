@@ -143,6 +143,11 @@ TEST_F(BootTest, BootstrapRefreshesLevelZeroCiphertext)
     EXPECT_LT(maxErr(m, decrypt(refreshed)), 5e-2);
     EXPECT_GT(stats.hidft.rotations, 0u);
     EXPECT_GT(stats.hdft.pmults, 0u);
+
+    // The derived pool budget stays at the 32 MiB floor here: a larger
+    // budget would only keep more bootstrap temporaries alive (peak
+    // RSS), since the ops recycle what one stripe already holds.
+    EXPECT_LE(ctx_->pool().stats().cached_words, PolyPool::kStripeWords);
 }
 
 TEST_F(BootTest, BootstrappedCiphertextSupportsFurtherMults)

@@ -2,7 +2,8 @@
  * @file
  * Invariant tests on CkksContext precomputation: gadget-constant
  * algebra (the heart of generalized key-switching correctness),
- * rescale constants, ModDown constants, and level bookkeeping.
+ * rescale constants, ModDown constants, level bookkeeping, and the
+ * pool budget the context derives for its backend.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,10 @@
 #include <set>
 
 #include "ckks/context.h"
+#include "ckks/encoder.h"
+#include "ckks/encryptor.h"
+#include "ckks/evaluator.h"
+#include "ckks/keygen.h"
 
 namespace ark {
 namespace {
@@ -117,6 +122,52 @@ TEST_F(ContextTest, AutomorphismCacheReturnsSameObject)
     EXPECT_EQ(&a1, &a2);
     const Automorphism &b = ctx_->automorphism(25);
     EXPECT_NE(&a1, &b);
+}
+
+/**
+ * The pool budget follows the parameter set. At N = 2^15, L = 15,
+ * dnum = 4 one HMult releases about 43 MiB of temporaries, more than a
+ * stripe's 32 MiB default. After one warm-up, an HMult -> HRot ->
+ * rescale unit must take every temporary from the pool: its only
+ * misses are the six result polys it hands back (b and a of each op),
+ * which leave the pool for good.
+ */
+TEST(ContextPool, SteadyStateUnitMissesOnlyItsResults)
+{
+    CkksParams p;
+    p.name = "pool-steady-state";
+    p.degree = 1ULL << 15;
+    p.num_slots = 1ULL << 14;
+    p.max_level = 15;
+    p.dnum = 4;
+    p.log_q0 = 60;
+    p.log_scale = 40;
+    p.log_special = 60;
+    p.hamming_weight = 64;
+    CkksContext ctx(p);
+    Rng rng(13);
+    KeyGenerator keygen(ctx, rng);
+    const SecretKey sk = keygen.secretKey();
+    const EvalKey mult = keygen.evkMult(sk);
+    const EvalKey rot = keygen.evkRotation(sk, 1);
+    CkksEncoder encoder(ctx);
+    CkksEncryptor encryptor(ctx, rng);
+    const std::vector<Complex> m(p.num_slots, Complex(0.5, -0.25));
+    const Ciphertext ct = encryptor.encryptSymmetric(
+        encoder.encode(m, ctx.maxLevel()), sk);
+    CkksEvaluator eval(ctx);
+    auto unit = [&] {
+        return eval.rescale(eval.rotate(eval.mul(ct, ct, mult), 1, rot));
+    };
+
+    (void)unit(); // warm-up: fills the pool
+    for (int i = 0; i < 2; ++i) {
+        const PolyPool::Stats before = ctx.pool().stats();
+        (void)unit();
+        const PolyPool::Stats after = ctx.pool().stats();
+        EXPECT_LE(after.misses - before.misses, 6u) << "unit " << i;
+        EXPECT_GT(after.hits, before.hits);
+    }
 }
 
 TEST(ContextDeath, RejectsIndivisibleDnum)
